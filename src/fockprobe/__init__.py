@@ -13,8 +13,6 @@ __version__ = "0.1.0"
 
 from .amplitudes import (
     ConvergenceError,
-    FirstOrderAmplitudes,
-    collect_first_order,
     counter_rotating_mode_sum,
     x_closed,
     x_detuned_leading,
@@ -23,11 +21,9 @@ from .amplitudes import (
 )
 from .config import ConfigError, ResolvedConfig, parse_config, resolve_mapping
 from .kernels import (
-    SecondOrderKernels,
     c_closed,
     c_quadrature,
     c_resonant_nonrel,
-    collect_second_order,
     mode_sum_offres,
 )
 from .model import (
@@ -76,7 +72,6 @@ __all__ = [
     "ConvergenceError",
     "EtaPhase",
     "FieldPreparation",
-    "FirstOrderAmplitudes",
     "HilbertTruncation",
     "OracleResult",
     "ParameterError",
@@ -86,7 +81,6 @@ __all__ = [
     "ProbeWarning",
     "ResolvedConfig",
     "SPEED_OF_LIGHT",
-    "SecondOrderKernels",
     "SweepSpec",
     "TransitionBreakdown",
     "TruncationPolicy",
@@ -97,8 +91,6 @@ __all__ = [
     "c_quadrature",
     "c_resonant_nonrel",
     "classify_validity",
-    "collect_first_order",
-    "collect_second_order",
     "convergence_scan",
     "counter_rotating_mode_sum",
     "default_truncation",

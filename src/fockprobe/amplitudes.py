@@ -24,7 +24,6 @@ follow from X(-a) = conj(X(a)).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -74,14 +73,17 @@ def _reduced_amplitude(a, b):
     return np.sqrt(b) * h / (a + b)
 
 
-def _closed_array(setup: ProbeSetup, betas, sign) -> np.ndarray:
-    """Vectorized closed form over an integer mode array."""
+def _closed_array(setup: ProbeSetup, betas, sign, reduced=_reduced_amplitude, order=1):
+    """Closed form T**order * reduced(|a|, b) over an integer mode array.
+
+    Serves the first-order amplitude (``order=1``) and, with the reduced
+    kernel, the second-order kernel (``order=2``); a < 0 follows by
+    conjugation.
+    """
     betas = np.asarray(betas, dtype=float)
+    a, b = _transit_phases(setup, betas, sign)
     T = setup.crossing_time
-    a = (setup.mode_frequency(betas) + sign * setup.atom_gap) * T
-    b = betas * np.pi
-    pos = np.abs(a)
-    out = T * _reduced_amplitude(pos, b)
+    out = (T if order == 1 else T * T) * reduced(np.abs(a), b)
     out = np.where(a < 0, np.conj(out), out)
     # Parity cancellation is exact, not a rounding-level residue: a == 0 only
     # happens on resonance, where even modes decouple identically.
@@ -170,43 +172,56 @@ def x_detuned_leading(setup: ProbeSetup, alpha: int, delta: float) -> complex:
     return -1j * delta * L * L / (v * v * (2.0 * np.pi * j) ** 1.5)
 
 
-def _adaptive_abs_squared_sum(setup, alpha, sign, policy):
-    """Sum |X_{sign,beta}|^2 over beta != alpha with adaptive termination."""
-    total = 0.0
-    consecutive = 0
-    last_term = 0.0
-    beta_last = 0
+def _mode_sum(terms_of, alpha, policy, modes, tail_factor, what):
+    """Sum ``terms_of(betas)`` over the modes beta != alpha in ascending order.
+
+    With ``modes`` given, sums exactly those modes.  Otherwise sums chunks of
+    1..policy.max_mode and stops after CONSECUTIVE_SMALL_INCREMENTS
+    consecutive terms with |t| <= tail_tol * |running total|; alpha is left
+    out, so it neither counts toward that run nor breaks it.  Each chunk's
+    running totals are a cumsum seeded with the carried total: the additions
+    happen in the same order as a term-by-term loop.  Returns (total, report),
+    the tail estimate being tail_factor * |t_B| * B for the last summed t_B.
+    """
+    if modes is not None:
+        betas = np.array(sorted({int(b) for b in modes} - {alpha}), dtype=int)
+        return np.sum(terms_of(betas)), TruncationReport(len(betas), 0.0, True)
+    total, run, last, beta_last = 0.0, 0, 0.0, 0
     converged = False
     chunk = 256
     start = 1
     while start <= policy.max_mode and not converged:
         stop = min(start + chunk - 1, policy.max_mode)
         betas = np.arange(start, stop + 1)
-        vals = np.abs(_closed_array(setup, betas, sign)) ** 2
-        vals[betas == alpha] = 0.0
-        for i, beta in enumerate(betas):
-            total += vals[i]
-            last_term = vals[i]
-            beta_last = int(beta)
-            if beta != alpha and total > 0 and vals[i] <= policy.tail_tol * total:
-                consecutive += 1
-                if consecutive >= CONSECUTIVE_SMALL_INCREMENTS:
-                    converged = True
-                    break
-            elif beta != alpha:
-                consecutive = 0
+        keep = betas != alpha
+        betas, terms = betas[keep], terms_of(betas)[keep]
         start = stop + 1
         chunk = min(chunk * 2, 8192)
-    # |X|^2 falls off like 1/beta^3, so the integral tail is ~ t_B * B / 2.
-    tail = last_term * beta_last / 2.0
+        if betas.size == 0:
+            continue
+        running = np.cumsum(np.concatenate(([total], terms)))[1:]
+        size = np.abs(running)
+        small = (size > 0) & (np.abs(terms) <= policy.tail_tol * size)
+        # run length ending at each term: distance to the last large term, or
+        # the carried run plus the position when the chunk has none before it
+        pos = np.arange(betas.size)
+        large = np.maximum.accumulate(np.where(small, -1, pos))
+        runs = np.where(large < 0, run + pos + 1, pos - large)
+        hits = np.flatnonzero(runs >= CONSECUTIVE_SMALL_INCREMENTS)
+        converged = hits.size > 0
+        i = hits[0] if converged else -1
+        total, run = running[i], runs[i]
+        # abs of the scalar, which np.abs may differ from in the last bit
+        last, beta_last = abs(terms[i]), int(betas[i])
+    tail = float(last * beta_last * tail_factor)
     if not converged:
         warnings.warn(
-            f"transition mode sum hit max_mode={policy.max_mode} before "
+            f"{what} hit max_mode={policy.max_mode} before "
             f"tail_tol={policy.tail_tol:g}; tail estimate {tail:.3g}",
             ProbeWarning,
             stacklevel=3,
         )
-    return float(total), TruncationReport(beta_last, float(tail), converged)
+    return total, TruncationReport(beta_last, tail, converged)
 
 
 def counter_rotating_mode_sum(
@@ -220,35 +235,9 @@ def counter_rotating_mode_sum(
     With ``modes`` given, sums exactly those modes (no adaptivity); otherwise
     iterates up to the policy cap.  Returns (value, TruncationReport).
     """
-    if modes is not None:
-        betas = np.array([b for b in modes if b != alpha], dtype=int)
-        if betas.size == 0:
-            return 0.0, TruncationReport(0, 0.0, True)
-        total = float(np.sum(np.abs(_closed_array(setup, betas, +1)) ** 2))
-        return total, TruncationReport(len(betas), 0.0, True)
-    return _adaptive_abs_squared_sum(setup, alpha, +1, policy)
-
-
-@dataclass(frozen=True)
-class FirstOrderAmplitudes:
-    """Closed-form X_{+,beta} and X_{-,beta} per mode, with truncation metadata."""
-
-    per_mode: dict
-    report: TruncationReport
-
-    def rotating(self, beta: int) -> complex:
-        return self.per_mode[beta][1]
-
-    def counter_rotating(self, beta: int) -> complex:
-        return self.per_mode[beta][0]
-
-
-def collect_first_order(setup: ProbeSetup, modes) -> FirstOrderAmplitudes:
-    """Evaluate both signs of the closed form for an explicit mode list."""
-    betas = np.array(sorted(set(int(b) for b in modes)), dtype=int)
-    if betas.size == 0 or betas[0] < 1:
-        raise ParameterError("modes must be a non-empty collection of positive integers")
-    plus = _closed_array(setup, betas, +1)
-    minus = _closed_array(setup, betas, -1)
-    per_mode = {int(b): (complex(p), complex(m)) for b, p, m in zip(betas, plus, minus)}
-    return FirstOrderAmplitudes(per_mode, TruncationReport(len(betas), 0.0, True))
+    # |X|^2 falls off like 1/beta^3, so the integral tail is ~ t_B * B / 2.
+    total, report = _mode_sum(
+        lambda betas: np.abs(_closed_array(setup, betas, +1)) ** 2,
+        alpha, policy, modes, 0.5, "transition mode sum",
+    )
+    return float(total), report

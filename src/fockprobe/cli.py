@@ -3,16 +3,14 @@
 Every data-producing subcommand reads a config file (see configs/ for
 samples), writes CSV to --output (or stdout), and -- when writing to a file --
 drops a JSON manifest next to it recording the resolved configuration and all
-warnings.  Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 validity-guard violation.
+warnings.  The warnings also go to stderr unless --quiet is given.  Exit
+codes: 0 success, 1 configuration error, 2 numerical failure, 3 validity-guard
+violation.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 import time
 import warnings
@@ -37,7 +35,7 @@ from .observables import (
     validity,
 )
 from .oracle import convergence_scan, default_truncation, evolve
-from .sweeps import _fmt, preset_spec, run_sweep, spec_from_config
+from .sweeps import preset_spec, run_sweep, spec_from_config, write_outputs
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -49,8 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="config file (key = value lines)")
     common.add_argument("--output", type=Path, help="CSV destination (default: stdout)")
-    common.add_argument("--threads", type=int, default=1, help="row-level worker threads")
-    common.add_argument("--quiet", action="store_true", help="suppress progress chatter")
+    common.add_argument("--quiet", action="store_true",
+                        help="suppress warnings and progress chatter on stderr")
     common.add_argument(
         "--force",
         action="store_true",
@@ -130,37 +128,8 @@ def _signs(flag: str):
     return {"+": [+1], "-": [-1], "both": [+1, -1]}[flag]
 
 
-def _emit(args, header, rows, resolved, command, extra=None, messages=()):
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
-    if args.output is None:
-        sys.stdout.write(text.getvalue())
-        return
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(text.getvalue(), encoding="utf-8")
-    manifest = {
-        "tool": "fockprobe",
-        "version": __version__,
-        "command": command,
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(resolved.resolved.items())},
-        "defaults_applied": {k: (list(v) if isinstance(v, tuple) else v)
-                              for k, v in sorted(resolved.defaults_applied.items())},
-        "columns": list(header),
-        "row_count": len(rows),
-        "warnings": list(messages),
-    }
-    if extra:
-        manifest.update(extra)
-    Path(str(args.output) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _guard_validity(args, resolved):
-    value = validity(resolved.setup, resolved.prep)
+def _guard_validity(args, setup, prep):
+    value = validity(setup, prep)
     if classify_validity(value) == "invalid" and not args.force:
         sys.stderr.write(
             f"validity estimator {value:.3g} >= 1: perturbative output untrusted "
@@ -182,7 +151,7 @@ def _cmd_amplitudes(args) -> int:
                              quadv.real, quadv.imag, abs(closed - quadv)])
             else:
                 rows.append([beta, f"{sign:+d}", closed.real, closed.imag, "", "", ""])
-    _emit(args, header, rows, resolved, "amplitudes")
+    write_outputs(args.output, header, rows, resolved, "amplitudes", quiet=args.quiet)
     return EXIT_OK
 
 
@@ -212,13 +181,13 @@ def _cmd_kernels(args) -> int:
                     f"({report.modes_evaluated} modes, tail ~ {report.tail_estimate:.3g})\n"
                 )
     messages = sorted({str(w.message) for w in caught})
-    _emit(args, header, rows, resolved, "kernels", extra=extra, messages=messages)
+    write_outputs(args.output, header, rows, resolved, "kernels", messages, extra, args.quiet)
     return EXIT_OK
 
 
 def _cmd_transition(args) -> int:
     resolved = _require_config(args)
-    _guard_validity(args, resolved)
+    _guard_validity(args, resolved.setup, resolved.prep)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         breakdown = transition_probability(resolved.setup, resolved.prep, resolved.policy)
@@ -226,28 +195,28 @@ def _cmd_transition(args) -> int:
     rows = [[breakdown.total, breakdown.rotating, breakdown.counter_rotating,
              breakdown.vacuum]]
     messages = sorted({str(w.message) for w in caught})
-    _emit(args, header, rows, resolved, "transition",
-          extra={"truncation": breakdown.report.as_dict()}, messages=messages)
+    write_outputs(args.output, header, rows, resolved, "transition", messages,
+                  {"truncation": breakdown.report.as_dict()}, args.quiet)
     return EXIT_OK
 
 
 def _cmd_phase(args) -> int:
     resolved = _require_config(args)
-    _guard_validity(args, resolved)
+    _guard_validity(args, resolved.setup, resolved.prep)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         outcome = probe_outcome(resolved.setup, resolved.prep, resolved.policy)
     header = ["p_excite", "gamma", "visibility", "validity"]
     rows = [[outcome.p_excite, outcome.gamma, outcome.visibility, outcome.validity]]
     messages = sorted({str(w.message) for w in caught})
-    _emit(args, header, rows, resolved, "phase",
-          extra={"truncation": outcome.phase.report.as_dict()}, messages=messages)
+    write_outputs(args.output, header, rows, resolved, "phase", messages,
+                  {"truncation": outcome.phase.report.as_dict()}, args.quiet)
     return EXIT_OK
 
 
 def _cmd_resolution(args) -> int:
     resolved = _require_config(args)
-    _guard_validity(args, resolved)
+    _guard_validity(args, resolved.setup, resolved.prep)
     m_list = sorted(set(args.m)) if args.m else [1]
     n_range = range(0, args.n_max + 1, args.n_step)
     with warnings.catch_warnings(record=True) as caught:
@@ -264,15 +233,14 @@ def _cmd_resolution(args) -> int:
             f"largest n resolving a single photon at floor {args.floor:g} rad: "
             f"{threshold}\n"
         )
-    _emit(args, header, rows, resolved, "resolution",
-          extra={"resolution_floor": args.floor, "threshold_n": threshold},
-          messages=messages)
+    write_outputs(args.output, header, rows, resolved, "resolution", messages,
+                  {"resolution_floor": args.floor, "threshold_n": threshold}, args.quiet)
     return EXIT_OK
 
 
 def _cmd_fringe(args) -> int:
     resolved = _require_config(args)
-    _guard_validity(args, resolved)
+    _guard_validity(args, resolved.setup, resolved.prep)
     unknown = prepare_field(resolved.setup, resolved.prep.mode, args.unknown_photons)
     phis = args.phi if args.phi else [0.0]
     header = ["phi", "p_plus", "p_minus"]
@@ -284,14 +252,14 @@ def _cmd_fringe(args) -> int:
                                      resolved.policy)
             rows.append([phi, p_plus, p_minus])
     messages = sorted({str(w.message) for w in caught})
-    _emit(args, header, rows, resolved, "fringe",
-          extra={"unknown_photons": args.unknown_photons}, messages=messages)
+    write_outputs(args.output, header, rows, resolved, "fringe", messages,
+                  {"unknown_photons": args.unknown_photons}, args.quiet)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     resolved = _require_config(args)
-    _guard_validity(args, resolved)
+    _guard_validity(args, resolved.setup, resolved.prep)
     setup, prep, policy = resolved.setup, resolved.prep, resolved.policy
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -343,7 +311,7 @@ def _cmd_verify(args) -> int:
                 "kept_modes": kept,
             }
     messages = sorted({str(w.message) for w in caught})
-    _emit(args, header, rows, resolved, "verify", extra=extra, messages=messages)
+    write_outputs(args.output, header, rows, resolved, "verify", messages, extra, args.quiet)
     # keep stdout parseable when it carries the CSV
     stream = sys.stdout if args.output is not None else sys.stderr
     stream.write(summary + "\n")
@@ -360,25 +328,15 @@ def _cmd_sweep(args) -> int:
         if args.output is None:
             raise ConfigError("sweep needs --output")
         spec = spec_from_config(resolved, args.output)
-    _guard_validity_spec(args, spec)
+    _guard_validity(args, spec.setup, spec.prep)
     started = time.monotonic()
-    csv_path, manifest_path = run_sweep(spec, threads=max(1, args.threads))
+    csv_path, manifest_path = run_sweep(spec, quiet=args.quiet)
     if not args.quiet:
         sys.stderr.write(
             f"wrote {csv_path} and {manifest_path.name} in "
             f"{time.monotonic() - started:.2f}s\n"
         )
     return EXIT_OK
-
-
-def _guard_validity_spec(args, spec) -> None:
-    value = validity(spec.setup, spec.prep)
-    if classify_validity(value) == "invalid" and not args.force:
-        sys.stderr.write(
-            f"validity estimator {value:.3g} >= 1: perturbative output untrusted "
-            "(rerun with --force to proceed)\n"
-        )
-        raise SystemExit(EXIT_VALIDITY)
 
 
 _HANDLERS = {

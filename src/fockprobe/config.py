@@ -44,7 +44,6 @@ KNOWN_KEYS = {
     "field.detuning": ("float", False),
     "truncation.max_mode": ("int", False),
     "truncation.tail_tol": ("float", False),
-    "truncation.resonance_guard": ("float", False),
     "sweep.variable": ("str", False),
     "sweep.start": ("float", False),
     "sweep.stop": ("float", False),
@@ -189,7 +188,6 @@ def resolve_mapping(mapping: dict) -> ResolvedConfig:
         policy = TruncationPolicy(
             max_mode=get("truncation.max_mode", 10_000),
             tail_tol=get("truncation.tail_tol", 1e-10),
-            resonance_guard=get("truncation.resonance_guard", 1e-6),
         )
         policy.check_covers(prep)
     except ParameterError as exc:

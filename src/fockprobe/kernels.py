@@ -19,22 +19,23 @@ stable through the removable singularities a -> +/- b; C(-a) = conj(C(a)).
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.integrate import quad
 
-from .amplitudes import ConvergenceError, _check_mode_sign, _sinc
+from .amplitudes import (
+    ConvergenceError,
+    _check_mode_sign,
+    _closed_array,
+    _mode_sum,
+    _sinc,
+    _transit_phases,
+)
 from .model import (
-    CONSECUTIVE_SMALL_INCREMENTS,
     DEFAULT_POLICY,
     FieldPreparation,
     ParameterError,
     ProbeSetup,
-    ProbeWarning,
     TruncationPolicy,
-    TruncationReport,
 )
 
 
@@ -57,17 +58,6 @@ def _reduced_kernel(a, b):
     return bracket / (2.0 * (a + b) ** 2)
 
 
-def _closed_array(setup: ProbeSetup, betas, sign) -> np.ndarray:
-    betas = np.asarray(betas, dtype=float)
-    T = setup.crossing_time
-    a = (setup.mode_frequency(betas) + sign * setup.atom_gap) * T
-    b = betas * np.pi
-    out = T * T * _reduced_kernel(np.abs(a), b)
-    out = np.where(a < 0, np.conj(out), out)
-    exact_zero = (a == 0.0) & (betas.astype(int) % 2 == 0)
-    return np.where(exact_zero, 0.0 + 0.0j, out)
-
-
 def c_closed(setup: ProbeSetup, beta: int, sign: int) -> complex:
     """Closed-form kernel C_{sign,beta} (units of time squared).
 
@@ -75,7 +65,7 @@ def c_closed(setup: ProbeSetup, beta: int, sign: int) -> complex:
     phase a); exactly zero for the rotating sign on an even resonant mode.
     """
     _check_mode_sign(beta, sign)
-    return complex(_closed_array(setup, np.array([beta]), sign)[0])
+    return complex(_closed_array(setup, np.array([beta]), sign, _reduced_kernel, 2)[0])
 
 
 def _envelope_overlap_closed(s, b):
@@ -109,8 +99,7 @@ def c_quadrature(
     if inner not in ("quad", "closed"):
         raise ParameterError(f"inner must be 'quad' or 'closed', got {inner!r}")
     T = setup.crossing_time
-    a = (setup.mode_frequency(beta) + sign * setup.atom_gap) * T
-    b = beta * np.pi
+    a, b = _transit_phases(setup, beta, sign)
 
     if inner == "closed":
         K = lambda s: _envelope_overlap_closed(s, b)
@@ -184,83 +173,11 @@ def mode_sum_offres(
     Returns (value, TruncationReport); the tail estimate is the 1/beta
     integral extrapolation of the last term.
     """
-    alpha = prep.mode
-    if modes is not None:
-        betas = np.array(sorted(b for b in set(int(m) for m in modes) if b != alpha), dtype=int)
-        if betas.size == 0:
-            return 0j, TruncationReport(0, 0.0, True)
-        terms = np.conj(_closed_array(setup, betas, +1)) / (betas * np.pi)
-        return complex(np.sum(terms)), TruncationReport(len(betas), 0.0, True)
-
-    policy.check_covers(prep)
-    total = 0j
-    consecutive = 0
-    last_mag = 0.0
-    beta_last = 0
-    converged = False
-    chunk = 256
-    start = 1
-    while start <= policy.max_mode and not converged:
-        stop = min(start + chunk - 1, policy.max_mode)
-        betas = np.arange(start, stop + 1)
-        terms = np.conj(_closed_array(setup, betas, +1)) / (betas * np.pi)
-        terms[betas == alpha] = 0j
-        for i, beta in enumerate(betas):
-            total += terms[i]
-            if beta == alpha:
-                continue
-            last_mag = abs(terms[i])
-            beta_last = int(beta)
-            if abs(total) > 0 and last_mag <= policy.tail_tol * abs(total):
-                consecutive += 1
-                if consecutive >= CONSECUTIVE_SMALL_INCREMENTS:
-                    converged = True
-                    break
-            else:
-                consecutive = 0
-        start = stop + 1
-        chunk = min(chunk * 2, 8192)
-    tail = float(last_mag * beta_last)
-    if not converged:
-        warnings.warn(
-            f"off-resonant kernel sum hit max_mode={policy.max_mode} before "
-            f"tail_tol={policy.tail_tol:g}; tail estimate {tail:.3g}",
-            ProbeWarning,
-            stacklevel=2,
-        )
-    return complex(total), TruncationReport(beta_last, tail, converged)
-
-
-@dataclass(frozen=True)
-class SecondOrderKernels:
-    """Closed-form C_{+,beta} / C_{-,beta} per mode plus the off-resonant sum."""
-
-    per_mode: dict
-    mode_sum: complex
-    report: TruncationReport
-
-    def rotating(self, beta: int) -> complex:
-        return self.per_mode[beta][1]
-
-    def counter_rotating(self, beta: int) -> complex:
-        return self.per_mode[beta][0]
-
-
-def collect_second_order(
-    setup: ProbeSetup,
-    prep: FieldPreparation,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-    modes=None,
-) -> SecondOrderKernels:
-    """Kernels for an explicit mode list (default: up to alpha + 3) plus the mode sum."""
-    listed = sorted(set(int(b) for b in modes)) if modes is not None else list(
-        range(1, prep.mode + 4)
+    if modes is None:
+        policy.check_covers(prep)
+    total, report = _mode_sum(
+        lambda betas: np.conj(_closed_array(setup, betas, +1, _reduced_kernel, 2))
+        / (betas * np.pi),
+        prep.mode, policy, modes, 1.0, "off-resonant kernel sum",
     )
-    betas = np.array(listed, dtype=int)
-    if betas.size == 0 or betas[0] < 1:
-        raise ParameterError("modes must be a non-empty collection of positive integers")
-    plus = _closed_array(setup, betas, +1)
-    minus = _closed_array(setup, betas, -1)
-    per_mode = {int(b): (complex(p), complex(m)) for b, p, m in zip(betas, plus, minus)}
-    total, report = mode_sum_offres(setup, prep, policy, modes=modes)
-    return SecondOrderKernels(per_mode, total, report)
+    return complex(total), report

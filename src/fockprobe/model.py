@@ -199,26 +199,20 @@ def prepare_field(setup: ProbeSetup, mode: int, photons: int) -> FieldPreparatio
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Controls for the infinite mode sums and near-singular denominators.
+    """Controls for the infinite mode sums.
 
     max_mode caps the summation index; tail_tol is the relative increment
-    threshold for adaptive termination; resonance_guard is the relative
-    denominator size below which evaluation switches to the cancellation-free
-    rearranged form (the rearrangement used here is exact, so the guard only
-    marks diagnostics).
+    threshold for adaptive termination.
     """
 
     max_mode: int = 10_000
     tail_tol: float = 1e-10
-    resonance_guard: float = 1e-6
 
     def __post_init__(self):
         if self.max_mode < 1:
             raise ParameterError(f"max_mode must be >= 1, got {self.max_mode}")
         if self.tail_tol <= 0:
             raise ParameterError(f"tail_tol must be positive, got {self.tail_tol}")
-        if self.resonance_guard <= 0:
-            raise ParameterError(f"resonance_guard must be positive, got {self.resonance_guard}")
 
     def check_covers(self, prep: FieldPreparation) -> None:
         """A usable policy must sum past the probed mode."""

@@ -11,9 +11,10 @@ status column instead of aborting the run.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,14 +74,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _phase_row_builder(spec: SweepSpec):
+def _phase_row_builder(spec: SweepSpec, comps):
     """Rows (x, gamma, visibility, validity, status) for a swept variable."""
     request = spec.request
     setup, prep = spec.setup, spec.prep
 
     if request.variable == "n":
-        comps = phase_components(setup, prep.mode, spec.policy)
-
         def compute(value):
             amplitude = survival_amplitude(comps, setup, int(value))
             eta, gamma, vis = _eta_from_amplitude(amplitude)
@@ -127,35 +126,38 @@ def _phase_row_builder(spec: SweepSpec):
     return compute
 
 
-def compute_rows(spec: SweepSpec, threads: int = 1):
-    """Evaluate all rows; per-row failures become status messages."""
+def compute_rows(spec: SweepSpec):
+    """Evaluate all rows; per-row failures become status messages.
+
+    Returns (header, rows, report): ``report`` is the truncation report of the
+    phase components at the configured base point, which n and m rows reuse.
+    """
     request = spec.request
-    if request.observable == "resolution" or request.variable == "m":
-        comps = phase_components(spec.setup, spec.prep.mode, spec.policy)
-        if request.variable == "m":
-            header = ["m", "delta_gamma", "status"]
-            tasks = [(int(m),) for m in request.values]
+    comps = phase_components(spec.setup, spec.prep.mode, spec.policy)
+    if request.variable == "m":
+        header = ["m", "delta_gamma", "status"]
+        tasks = [(int(m),) for m in request.values]
 
-            def run(task):
-                (m,) = task
-                dg = delta_gamma_exact(
-                    spec.setup, spec.prep.mode, request.fixed_n, m,
-                    spec.policy, components=comps,
-                )
-                return [m, dg]
-        else:
-            header = ["n", "m", "delta_gamma", "status"]
-            tasks = [(int(n), int(m)) for n in request.values for m in request.m_values]
+        def run(task):
+            (m,) = task
+            dg = delta_gamma_exact(
+                spec.setup, spec.prep.mode, request.fixed_n, m,
+                spec.policy, components=comps,
+            )
+            return [m, dg]
+    elif request.observable == "resolution":
+        header = ["n", "m", "delta_gamma", "status"]
+        tasks = [(int(n), int(m)) for n in request.values for m in request.m_values]
 
-            def run(task):
-                n, m = task
-                dg = delta_gamma_exact(
-                    spec.setup, spec.prep.mode, n, m, spec.policy, components=comps
-                )
-                return [n, m, dg]
+        def run(task):
+            n, m = task
+            dg = delta_gamma_exact(
+                spec.setup, spec.prep.mode, n, m, spec.policy, components=comps
+            )
+            return [n, m, dg]
     else:
         header = [request.variable, "gamma", "visibility", "validity", "status"]
-        compute = _phase_row_builder(spec)
+        compute = _phase_row_builder(spec, comps)
         tasks = [(value,) for value in request.values]
 
         def run(task):
@@ -170,12 +172,7 @@ def compute_rows(spec: SweepSpec, threads: int = 1):
             blanks = [float("nan")] * (len(header) - len(task) - 1)
             return list(task) + blanks + [f"error: {exc}"]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(safe, tasks))
-    else:
-        rows = [safe(task) for task in tasks]
-    return header, rows
+    return header, [safe(task) for task in tasks], comps.report
 
 
 def _json_safe(value):
@@ -184,52 +181,70 @@ def _json_safe(value):
     return value
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1, command: str = "sweep"):
-    """Compute, then write CSV and manifest; returns (csv_path, manifest_path).
+def write_outputs(output, header, rows, config, command, messages=(), extra=None,
+                  quiet=False):
+    """Write rows as CSV to ``output`` (stdout when None) and, for a file, a manifest.
 
-    The manifest holds only reproducible content (resolved configuration,
-    truncation reports, warnings); wall-clock timing is left to the caller's
-    log so that identical configurations yield byte-identical files.
+    ``config`` is the resolved configuration (a ResolvedConfig or SweepSpec).
+    The manifest ``<output>.manifest.json`` holds only reproducible content
+    (resolved configuration, columns, row count, warnings, and ``extra``);
+    wall-clock timing is left to the caller's log so that identical
+    configurations yield byte-identical files.  ``messages`` are deduplicated
+    in the order given and, unless ``quiet``, also printed to stderr.
+    Returns the manifest path, or None when the CSV went to stdout.
     """
     from . import __version__
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        header, rows = compute_rows(spec, threads=threads)
-        comps = phase_components(spec.setup, spec.prep.mode, spec.policy)
-    seen = set()
-    messages = []
-    for w in caught:
-        msg = str(w.message)
-        if msg not in seen:
-            seen.add(msg)
-            messages.append(msg)
-
-    csv_path = spec.output
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
-
+    messages = list(dict.fromkeys(messages))
+    if not quiet:
+        for msg in messages:
+            sys.stderr.write(f"warning: {msg}\n")
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(cell) for cell in row])
+    if output is None:
+        sys.stdout.write(text.getvalue())
+        return None
+    output = Path(output)
+    output.parent.mkdir(parents=True, exist_ok=True)
+    output.write_text(text.getvalue(), encoding="utf-8", newline="")
     manifest = {
         "tool": "fockprobe",
         "version": __version__,
         "command": command,
-        "config": {k: _json_safe(v) for k, v in sorted(spec.resolved.items())},
-        "defaults_applied": {k: _json_safe(v) for k, v in sorted(spec.defaults_applied.items())},
-        "columns": header,
+        "config": {k: _json_safe(v) for k, v in sorted(config.resolved.items())},
+        "defaults_applied": {k: _json_safe(v)
+                             for k, v in sorted(config.defaults_applied.items())},
+        "columns": list(header),
         "row_count": len(rows),
-        "validity_class": classify_validity(validity(spec.setup, spec.prep)),
-        "truncation": comps.report.as_dict(),
         "warnings": messages,
+        **(extra or {}),
     }
-    manifest_path = Path(str(csv_path) + ".manifest.json")
+    manifest_path = Path(str(output) + ".manifest.json")
     manifest_path.write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return csv_path, manifest_path
+    return manifest_path
+
+
+def run_sweep(spec: SweepSpec, quiet: bool = False):
+    """Compute, then write CSV and manifest; returns (csv_path, manifest_path).
+
+    Warnings raised while computing go to the manifest and, unless ``quiet``,
+    to stderr.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        header, rows, report = compute_rows(spec)
+    extra = {
+        "validity_class": classify_validity(validity(spec.setup, spec.prep)),
+        "truncation": report.as_dict(),
+    }
+    manifest_path = write_outputs(spec.output, header, rows, spec, "sweep",
+                                  [str(w.message) for w in caught], extra, quiet)
+    return spec.output, manifest_path
 
 
 # Canned sweeps reproducing the headline curves: phase versus photon number,

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -8,14 +9,13 @@ from fockprobe import (
     ConvergenceError,
     ParameterError,
     build_setup,
-    collect_first_order,
     counter_rotating_mode_sum,
     x_closed,
     x_detuned_leading,
     x_mod_squared,
     x_quadrature,
 )
-from fockprobe.model import TruncationPolicy
+from fockprobe.model import TruncationPolicy, TruncationReport
 
 
 def resonant(alpha, speed=1e-3, length=1.0, detuning=0.0):
@@ -181,9 +181,14 @@ def test_counter_rotating_mode_sum_explicit_vs_adaptive():
     assert rep.converged
 
 
-def test_collect_first_order_structure():
+def test_x_closed_structure():
     setup = resonant(2)
-    amps = collect_first_order(setup, modes=[1, 2, 3])
-    assert set(amps.per_mode) == {1, 2, 3}
-    assert amps.rotating(2) == 0j
-    assert amps.counter_rotating(3) == x_closed(setup, 3, +1)
+    values = {(b, s): x_closed(setup, b, s) for b in (1, 2, 3) for s in (+1, -1)}
+    assert all(isinstance(v, complex) and cmath.isfinite(v) for v in values.values())
+    assert values[2, -1] == 0j
+    assert values[3, +1] != 0j
+    # explicit modes are deduplicated, sorted, and exclude the probed mode
+    total, report = counter_rotating_mode_sum(setup, 2, modes=[3, 1, 2, 1])
+    manual = abs(values[1, +1]) ** 2 + abs(values[3, +1]) ** 2
+    assert total == pytest.approx(manual, rel=1e-14)
+    assert report == TruncationReport(2, 0.0, True)

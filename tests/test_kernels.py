@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -11,11 +12,12 @@ from fockprobe import (
     c_closed,
     c_quadrature,
     c_resonant_nonrel,
-    collect_second_order,
+    counter_rotating_mode_sum,
     mode_sum_offres,
     prepare_field,
+    x_closed,
 )
-from fockprobe.model import TruncationPolicy
+from fockprobe.model import CONSECUTIVE_SMALL_INCREMENTS, TruncationPolicy, TruncationReport
 
 
 def resonant(alpha, speed=1e-3, length=1.0):
@@ -137,12 +139,83 @@ def test_mode_sum_converges_under_loose_tolerance():
     assert abs(value2 - value) <= max(report.tail_estimate, 1e-6 * abs(value))
 
 
-def test_collect_second_order_structure():
+def test_c_closed_structure():
     setup = resonant(2)
     prep = prepare_field(setup, 2, 1)
-    kernels = collect_second_order(setup, prep, modes=[1, 2, 3])
-    assert set(kernels.per_mode) == {1, 2, 3}
-    assert kernels.rotating(2) == 0j
-    assert kernels.counter_rotating(2) == c_closed(setup, 2, +1)
-    manual = sum(np.conj(c_closed(setup, b, +1)) / (b * math.pi) for b in (1, 3))
-    assert kernels.mode_sum == pytest.approx(manual, rel=1e-14)
+    values = {(b, s): c_closed(setup, b, s) for b in (1, 2, 3) for s in (+1, -1)}
+    assert all(isinstance(v, complex) and cmath.isfinite(v) for v in values.values())
+    assert values[2, -1] == 0j
+    assert values[2, +1].imag > 0.0
+    total, report = mode_sum_offres(setup, prep, modes=[3, 2, 1])
+    manual = sum(np.conj(values[b, +1]) / (b * math.pi) for b in (1, 3))
+    assert total == pytest.approx(manual, rel=1e-14)
+    assert report == TruncationReport(2, 0.0, True)
+
+
+def reference_mode_sum(terms, alpha, policy, tail_factor):
+    """Term-by-term stop rule that the vectorized mode sums must reproduce.
+
+    ``terms[beta - 1]`` is the summand of mode beta; the probed mode alpha is
+    skipped.  Returns (total, TruncationReport).
+    """
+    total, run, last, beta_last = 0.0, 0, 0.0, 0
+    for beta in range(1, policy.max_mode + 1):
+        if beta == alpha:
+            continue
+        term = terms[beta - 1]
+        total += term
+        last, beta_last = abs(term), beta
+        if abs(total) > 0 and last <= policy.tail_tol * abs(total):
+            run += 1
+            if run >= CONSECUTIVE_SMALL_INCREMENTS:
+                break
+        else:
+            run = 0
+    converged = run >= CONSECUTIVE_SMALL_INCREMENTS
+    return total, TruncationReport(beta_last, float(last * beta_last * tail_factor), converged)
+
+
+SETUPS = {
+    "natural": resonant(2),
+    "SI": build_setup(1e-6, 1000.0, resonant_with_mode=2, coupling_ratio=1e-4),
+}
+
+
+@pytest.mark.filterwarnings("ignore::fockprobe.ProbeWarning")
+@pytest.mark.parametrize("which", ["offres", "counter_rotating"])
+@pytest.mark.parametrize("units, alpha, max_mode, boundary", [
+    ("SI", 2, 3000, 256),        # the ten small terms straddle modes 256 | 257
+    ("natural", 253, 3000, 256),  # ... with the probed mode inside that run
+    ("natural", 4, 3000, 768),   # straddle modes 768 | 769
+    ("SI", 2, 768, None),        # capped at a chunk boundary
+    ("natural", 3, 256, None),
+    ("natural", 5, 6, None),     # capped at alpha + 1
+])
+def test_mode_sums_match_term_by_term_loop(which, units, alpha, max_mode, boundary):
+    setup = SETUPS[units]
+    betas = np.arange(1, max_mode + 1)
+    if which == "offres":
+        closed = np.array([c_closed(setup, int(b), +1) for b in betas])
+        terms, tail_factor = np.conj(closed) / (betas * np.pi), 1.0
+    else:
+        closed = np.array([x_closed(setup, int(b), +1) for b in betas])
+        terms, tail_factor = np.abs(closed) ** 2, 0.5
+    if boundary is None:
+        tail_tol = 1e-14
+    else:
+        # every term from mode boundary - 6 on is small relative to the running
+        # total, so a run of ten small terms ends just past the boundary
+        kept = betas != alpha
+        ratio = np.abs(terms) / np.abs(np.cumsum(np.where(kept, terms, 0.0)))
+        tail_tol = float(ratio[boundary - 7:][kept[boundary - 7:]].max())
+    policy = TruncationPolicy(max_mode=max_mode, tail_tol=tail_tol)
+    expected = reference_mode_sum(terms, alpha, policy, tail_factor)
+    if which == "offres":
+        got = mode_sum_offres(setup, prepare_field(setup, alpha, 0), policy)
+    else:
+        got = counter_rotating_mode_sum(setup, alpha, policy)
+    assert got == expected
+    if boundary is None:
+        assert not got[1].converged and got[1].modes_evaluated == max_mode
+    else:
+        assert got[1].converged and boundary < got[1].modes_evaluated < boundary + 10

@@ -141,8 +141,6 @@ def test_truncation_policy_validation():
         TruncationPolicy(max_mode=0)
     with pytest.raises(ParameterError):
         TruncationPolicy(tail_tol=0.0)
-    with pytest.raises(ParameterError):
-        TruncationPolicy(resonance_guard=-1.0)
     policy = TruncationPolicy(max_mode=2)
     with pytest.raises(ParameterError):
         policy.check_covers(FieldPreparation(mode=2, photons=0))

@@ -49,14 +49,6 @@ def test_sweep_is_deterministic(tmp_path):
     assert man_a.read_bytes() == man_b.read_bytes()
 
 
-def test_threaded_sweep_matches_serial(tmp_path):
-    spec_a = spec_from_config(resolve_mapping(small_sweep_mapping()), tmp_path / "s.csv")
-    spec_b = spec_from_config(resolve_mapping(small_sweep_mapping()), tmp_path / "t.csv")
-    csv_a, _ = run_sweep(spec_a, threads=1)
-    csv_b, _ = run_sweep(spec_b, threads=3)
-    assert csv_a.read_bytes() == csv_b.read_bytes()
-
-
 def test_sweep_rows_and_manifest_content(tmp_path):
     spec = spec_from_config(resolve_mapping(small_sweep_mapping()), tmp_path / "out.csv")
     csv_path, manifest_path = run_sweep(spec)
@@ -115,6 +107,20 @@ def test_resolution_sweep_rows(tmp_path):
     d1 = float(rows[1][2])
     d2 = float(rows[2][2])
     assert d2 == pytest.approx(2 * d1, rel=1e-2)
+
+
+def test_cli_warnings_reach_stderr_unless_quiet(tmp_path, capsys):
+    config = Path(__file__).resolve().parents[1] / "configs" / "optical-microcavity.cfg"
+    assert main(["phase", "--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "p_excite,gamma,visibility,validity"
+    assert "warning: off-resonant kernel sum hit max_mode=10000" in captured.err
+    out = tmp_path / "phase.csv"
+    assert main(["phase", "--config", str(config), "--output", str(out)]) == 0
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in manifest["warnings"])
+    assert main(["phase", "--config", str(config), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_amplitudes_stdout(tmp_path, capsys):
