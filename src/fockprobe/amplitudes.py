@@ -111,9 +111,9 @@ def x_quadrature(
     """Transit amplitude by adaptive numerical integration (oracle path).
 
     Integrates the defining oscillatory integral with QUADPACK's sin/cos
-    weighted scheme, independent of :func:`x_closed`.  Raises
-    :class:`ConvergenceError` when the estimated error exceeds
-    ``quad_tol * max(|X|, T)``.
+    weighted scheme, independent of :func:`x_closed`.  Each of Re and Im is
+    asked for ``quad_tol / 2``; raises :class:`ConvergenceError` when their
+    summed error estimates exceed ``quad_tol * max(|X|, T)``.
     """
     _check_mode_sign(beta, sign)
     if quad_tol <= 0:
@@ -125,30 +125,29 @@ def x_quadrature(
     if abs(a) < 1e-6:
         # full_output suppresses QUADPACK chatter; the error check below is ours
         re_res = quad(lambda x: np.cos(a * x) * envelope(x), 0.0, 1.0,
-                      epsabs=1e-14, epsrel=quad_tol, limit=max_intervals,
+                      epsabs=1e-14, epsrel=quad_tol / 2, limit=max_intervals,
                       full_output=1)
         im_res = quad(lambda x: np.sin(a * x) * envelope(x), 0.0, 1.0,
-                      epsabs=1e-14, epsrel=quad_tol, limit=max_intervals,
+                      epsabs=1e-14, epsrel=quad_tol / 2, limit=max_intervals,
                       full_output=1)
-        re, ere = re_res[0], re_res[1]
-        im, eim = im_res[0], im_res[1]
+        (re, ere), (im, eim) = re_res[:2], im_res[:2]
     else:
         re_res = quad(envelope, 0.0, 1.0, weight="cos", wvar=abs(a),
-                      epsabs=1e-16, epsrel=quad_tol, limit=max_intervals,
+                      epsabs=1e-16, epsrel=quad_tol / 2, limit=max_intervals,
                       maxp1=100, full_output=1)
         im_res = quad(envelope, 0.0, 1.0, weight="sin", wvar=abs(a),
-                      epsabs=1e-16, epsrel=quad_tol, limit=max_intervals,
+                      epsabs=1e-16, epsrel=quad_tol / 2, limit=max_intervals,
                       maxp1=100, full_output=1)
-        re, ere = re_res[0], re_res[1]
-        im, eim = im_res[0], im_res[1]
+        (re, ere), (im, eim) = re_res[:2], im_res[:2]
         if a < 0:
             im = -im
     value = T * (re + 1j * im) / np.sqrt(b)
     err = T * (ere + eim) / np.sqrt(b)
-    if err > quad_tol * max(abs(value), T):
+    bound = quad_tol * max(abs(value), T)
+    if err > bound:
         raise ConvergenceError(
             f"transit-amplitude quadrature (beta={beta}, sign={sign:+d}) "
-            f"error estimate {err:.3g} exceeds tolerance"
+            f"error estimate {err:.3g} exceeds tolerance {bound:.3g}"
         )
     return complex(value)
 

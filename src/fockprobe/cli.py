@@ -124,6 +124,10 @@ def _require_config(args):
     return parse_config(args.config)
 
 
+def _messages(caught):
+    return sorted({str(w.message) for w in caught})
+
+
 def _signs(flag: str):
     return {"+": [+1], "-": [-1], "both": [+1, -1]}[flag]
 
@@ -138,7 +142,7 @@ def _guard_validity(args, setup, prep):
         raise SystemExit(EXIT_VALIDITY)
 
 
-def _cmd_amplitudes(args) -> int:
+def _cmd_amplitudes(args, caught) -> int:
     resolved = _require_config(args)
     header = ["beta", "sign", "re_closed", "im_closed", "re_quad", "im_quad", "abs_err"]
     rows = []
@@ -151,174 +155,158 @@ def _cmd_amplitudes(args) -> int:
                              quadv.real, quadv.imag, abs(closed - quadv)])
             else:
                 rows.append([beta, f"{sign:+d}", closed.real, closed.imag, "", "", ""])
-    write_outputs(args.output, header, rows, resolved, "amplitudes", quiet=args.quiet)
+    write_outputs(args.output, header, rows, resolved, "amplitudes", _messages(caught),
+                  quiet=args.quiet)
     return EXIT_OK
 
 
-def _cmd_kernels(args) -> int:
+def _cmd_kernels(args, caught) -> int:
     resolved = _require_config(args)
     header = ["beta", "sign", "re_closed", "im_closed", "re_quad", "im_quad"]
     rows = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for beta in sorted(set(args.mode)):
-            for sign in _signs(args.sign):
-                closed = c_closed(resolved.setup, beta, sign)
-                if args.quadrature_check:
-                    quadv = c_quadrature(resolved.setup, beta, sign, quad_tol=args.quad_tol)
-                    rows.append([beta, f"{sign:+d}", closed.real, closed.imag,
-                                 quadv.real, quadv.imag])
-                else:
-                    rows.append([beta, f"{sign:+d}", closed.real, closed.imag, "", ""])
-        extra = None
-        if args.mode_sum:
-            total, report = mode_sum_offres(resolved.setup, resolved.prep, resolved.policy)
-            extra = {"mode_sum": {"re": total.real, "im": total.imag,
-                                  **report.as_dict()}}
-            if not args.quiet:
-                sys.stderr.write(
-                    f"mode sum over beta != {resolved.prep.mode}: {total!r} "
-                    f"({report.modes_evaluated} modes, tail ~ {report.tail_estimate:.3g})\n"
-                )
-    messages = sorted({str(w.message) for w in caught})
-    write_outputs(args.output, header, rows, resolved, "kernels", messages, extra, args.quiet)
+    for beta in sorted(set(args.mode)):
+        for sign in _signs(args.sign):
+            closed = c_closed(resolved.setup, beta, sign)
+            if args.quadrature_check:
+                quadv = c_quadrature(resolved.setup, beta, sign, quad_tol=args.quad_tol)
+                rows.append([beta, f"{sign:+d}", closed.real, closed.imag,
+                             quadv.real, quadv.imag])
+            else:
+                rows.append([beta, f"{sign:+d}", closed.real, closed.imag, "", ""])
+    extra = None
+    if args.mode_sum:
+        total, report = mode_sum_offres(resolved.setup, resolved.prep, resolved.policy)
+        extra = {"mode_sum": {"re": total.real, "im": total.imag, **report.as_dict()}}
+        if not args.quiet:
+            sys.stderr.write(
+                f"mode sum over beta != {resolved.prep.mode}: {total!r} "
+                f"({report.modes_evaluated} modes, tail ~ {report.tail_estimate:.3g})\n"
+            )
+    write_outputs(args.output, header, rows, resolved, "kernels", _messages(caught),
+                  extra, args.quiet)
     return EXIT_OK
 
 
-def _cmd_transition(args) -> int:
+def _cmd_transition(args, caught) -> int:
     resolved = _require_config(args)
     _guard_validity(args, resolved.setup, resolved.prep)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        breakdown = transition_probability(resolved.setup, resolved.prep, resolved.policy)
+    breakdown = transition_probability(resolved.setup, resolved.prep, resolved.policy)
     header = ["p_excite", "rotating", "counter_rotating", "vacuum"]
     rows = [[breakdown.total, breakdown.rotating, breakdown.counter_rotating,
              breakdown.vacuum]]
-    messages = sorted({str(w.message) for w in caught})
-    write_outputs(args.output, header, rows, resolved, "transition", messages,
+    write_outputs(args.output, header, rows, resolved, "transition", _messages(caught),
                   {"truncation": breakdown.report.as_dict()}, args.quiet)
     return EXIT_OK
 
 
-def _cmd_phase(args) -> int:
+def _cmd_phase(args, caught) -> int:
     resolved = _require_config(args)
     _guard_validity(args, resolved.setup, resolved.prep)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        outcome = probe_outcome(resolved.setup, resolved.prep, resolved.policy)
+    outcome = probe_outcome(resolved.setup, resolved.prep, resolved.policy)
     header = ["p_excite", "gamma", "visibility", "validity"]
     rows = [[outcome.p_excite, outcome.gamma, outcome.visibility, outcome.validity]]
-    messages = sorted({str(w.message) for w in caught})
-    write_outputs(args.output, header, rows, resolved, "phase", messages,
+    write_outputs(args.output, header, rows, resolved, "phase", _messages(caught),
                   {"truncation": outcome.phase.report.as_dict()}, args.quiet)
     return EXIT_OK
 
 
-def _cmd_resolution(args) -> int:
+def _cmd_resolution(args, caught) -> int:
     resolved = _require_config(args)
     _guard_validity(args, resolved.setup, resolved.prep)
     m_list = sorted(set(args.m)) if args.m else [1]
     n_range = range(0, args.n_max + 1, args.n_step)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rows = resolution_curve(resolved.setup, resolved.prep.mode, m_list, n_range,
-                                resolved.policy)
-        threshold = resolution_threshold(resolved.setup, resolved.prep.mode,
-                                         resolution_floor=args.floor,
-                                         policy=resolved.policy)
+    rows = resolution_curve(resolved.setup, resolved.prep.mode, m_list, n_range,
+                            resolved.policy)
+    threshold = resolution_threshold(resolved.setup, resolved.prep.mode,
+                                     resolution_floor=args.floor,
+                                     policy=resolved.policy)
     header = ["n", "m", "delta_gamma"]
-    messages = sorted({str(w.message) for w in caught})
     if not args.quiet:
         sys.stderr.write(
             f"largest n resolving a single photon at floor {args.floor:g} rad: "
             f"{threshold}\n"
         )
-    write_outputs(args.output, header, rows, resolved, "resolution", messages,
+    write_outputs(args.output, header, rows, resolved, "resolution", _messages(caught),
                   {"resolution_floor": args.floor, "threshold_n": threshold}, args.quiet)
     return EXIT_OK
 
 
-def _cmd_fringe(args) -> int:
+def _cmd_fringe(args, caught) -> int:
     resolved = _require_config(args)
     _guard_validity(args, resolved.setup, resolved.prep)
     unknown = prepare_field(resolved.setup, resolved.prep.mode, args.unknown_photons)
     phis = args.phi if args.phi else [0.0]
     header = ["phi", "p_plus", "p_minus"]
     rows = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for phi in phis:
-            p_plus, p_minus = fringe(resolved.setup, resolved.prep, unknown, phi,
-                                     resolved.policy)
-            rows.append([phi, p_plus, p_minus])
-    messages = sorted({str(w.message) for w in caught})
-    write_outputs(args.output, header, rows, resolved, "fringe", messages,
+    for phi in phis:
+        p_plus, p_minus = fringe(resolved.setup, resolved.prep, unknown, phi,
+                                 resolved.policy)
+        rows.append([phi, p_plus, p_minus])
+    write_outputs(args.output, header, rows, resolved, "fringe", _messages(caught),
                   {"unknown_photons": args.unknown_photons}, args.quiet)
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, caught) -> int:
     resolved = _require_config(args)
     _guard_validity(args, resolved.setup, resolved.prep)
     setup, prep, policy = resolved.setup, resolved.prep, resolved.policy
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if args.scan:
-            rows_dicts, converged = convergence_scan(setup, prep, args.scan,
-                                                     integ_tol=args.tol,
-                                                     headroom=args.headroom,
-                                                     others_max=args.others_max)
-            header = ["axis", "value", "gamma", "p_excite", "norm_drift", "dimension"]
-            rows = [[d["axis"], d["value"], d["gamma"], d["p_excite"],
-                     d["norm_drift"], d["dimension"]] for d in rows_dicts]
-            summary = "PASS: scan converged" if converged else "FAIL: scan not converged"
-            extra = {"scan_converged": converged}
-        else:
-            trunc = default_truncation(prep, max_mode=args.modes,
-                                       headroom=args.headroom,
-                                       others_max=args.others_max)
-            kept = [b for b, _ in trunc.modes]
-            result = evolve(setup, prep, trunc, integ_tol=args.tol)
-            pert_p = transition_probability(setup, prep, policy, modes=kept).total
-            comps = phase_components(setup, prep.mode, policy, modes=kept)
-            amp = survival_amplitude(comps, setup, prep.photons)
-            eta, gamma, vis = _eta_from_amplitude(amp)
-            pairs = [
-                ("p_excite", pert_p, result.p_excite_numeric),
-                ("gamma", gamma, result.eta_numeric.real),
-                ("im_eta", eta.imag, result.eta_numeric.imag),
-            ]
-            header = ["observable", "perturbative", "oracle", "abs_dev", "rel_dev"]
-            rows = []
-            for name, pert, orac in pairs:
-                dev = abs(pert - orac)
-                rel = dev / max(abs(orac), 1e-300)
-                rows.append([name, pert, orac, dev, rel])
-            # Second order is trustworthy when the mismatch is far below the
-            # signal itself; flag otherwise.
-            ok = abs(gamma - result.eta_numeric.real) <= 0.05 * max(abs(gamma), 1e-300)
-            ok = ok and result.norm_drift <= 10.0 * args.tol
-            summary = ("PASS" if ok else "FAIL") + (
-                f": gamma dev {abs(gamma - result.eta_numeric.real):.3e}, "
-                f"norm drift {result.norm_drift:.3e}"
-            )
-            extra = {
-                "oracle": {
-                    "norm_drift": result.norm_drift,
-                    "overlap_sq": abs(result.overlap) ** 2,
-                    **result.step_report,
-                },
-                "kept_modes": kept,
-            }
-    messages = sorted({str(w.message) for w in caught})
-    write_outputs(args.output, header, rows, resolved, "verify", messages, extra, args.quiet)
+    if args.scan:
+        rows_dicts, converged = convergence_scan(setup, prep, args.scan,
+                                                 integ_tol=args.tol,
+                                                 headroom=args.headroom,
+                                                 others_max=args.others_max)
+        header = ["axis", "value", "gamma", "p_excite", "norm_drift", "dimension"]
+        rows = [[d["axis"], d["value"], d["gamma"], d["p_excite"],
+                 d["norm_drift"], d["dimension"]] for d in rows_dicts]
+        summary = "PASS: scan converged" if converged else "FAIL: scan not converged"
+        extra = {"scan_converged": converged}
+    else:
+        trunc = default_truncation(prep, max_mode=args.modes,
+                                   headroom=args.headroom,
+                                   others_max=args.others_max)
+        kept = [b for b, _ in trunc.modes]
+        result = evolve(setup, prep, trunc, integ_tol=args.tol)
+        pert_p = transition_probability(setup, prep, policy, modes=kept).total
+        comps = phase_components(setup, prep.mode, policy, modes=kept)
+        amp = survival_amplitude(comps, setup, prep.photons)
+        eta, gamma, vis = _eta_from_amplitude(amp)
+        pairs = [
+            ("p_excite", pert_p, result.p_excite_numeric),
+            ("gamma", gamma, result.eta_numeric.real),
+            ("im_eta", eta.imag, result.eta_numeric.imag),
+        ]
+        header = ["observable", "perturbative", "oracle", "abs_dev", "rel_dev"]
+        rows = []
+        for name, pert, orac in pairs:
+            dev = abs(pert - orac)
+            rel = dev / max(abs(orac), 1e-300)
+            rows.append([name, pert, orac, dev, rel])
+        # Second order is trustworthy when the mismatch is far below the
+        # signal itself; flag otherwise.
+        ok = abs(gamma - result.eta_numeric.real) <= 0.05 * max(abs(gamma), 1e-300)
+        ok = ok and result.norm_drift <= 10.0 * args.tol
+        summary = ("PASS" if ok else "FAIL") + (
+            f": gamma dev {abs(gamma - result.eta_numeric.real):.3e}, "
+            f"norm drift {result.norm_drift:.3e}"
+        )
+        extra = {
+            "oracle": {
+                "norm_drift": result.norm_drift,
+                "overlap_sq": abs(result.overlap) ** 2,
+                **result.step_report,
+            },
+            "kept_modes": kept,
+        }
+    write_outputs(args.output, header, rows, resolved, "verify", _messages(caught), extra,
+                  args.quiet)
     # keep stdout parseable when it carries the CSV
     stream = sys.stdout if args.output is not None else sys.stderr
     stream.write(summary + "\n")
     return EXIT_OK if summary.startswith("PASS") else EXIT_NUMERIC
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, caught) -> int:
     if args.preset:
         if args.output is None:
             raise ConfigError("sweep needs --output")
@@ -330,7 +318,7 @@ def _cmd_sweep(args) -> int:
         spec = spec_from_config(resolved, args.output)
     _guard_validity(args, spec.setup, spec.prep)
     started = time.monotonic()
-    csv_path, manifest_path = run_sweep(spec, quiet=args.quiet)
+    csv_path, manifest_path = run_sweep(spec, quiet=args.quiet, messages=_messages(caught))
     if not args.quiet:
         sys.stderr.write(
             f"wrote {csv_path} and {manifest_path.name} in "
@@ -359,7 +347,11 @@ def main(argv=None) -> int:
         # latter into the configuration-error code.
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
-        return _HANDLERS[args.command](args)
+        # one capture from config resolution to output, so that every warning
+        # reaches the manifest and --quiet silences all of them
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            return _HANDLERS[args.command](args, caught)
     except (ConfigError, ParameterError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG

@@ -29,6 +29,9 @@ class ConfigError(ValueError):
 
 SWEEP_VARIABLES = ("n", "m", "delta", "speed", "coupling_ratio")
 SWEEP_OBSERVABLES = ("phase", "resolution")
+# Most values a sweep.start/stop/step grid may have; checked before the grid
+# is built, so a mistyped range is an error rather than an unbounded allocation.
+MAX_SWEEP_ROWS = 100_000
 
 # key -> (type tag, mandatory)
 KNOWN_KEYS = {
@@ -81,13 +84,12 @@ class ResolvedConfig:
 def _parse_scalar(key: str, raw: str):
     kind = KNOWN_KEYS[key][0]
     try:
-        if kind == "float":
+        if kind in ("float", "int"):
             value = float(raw)
             if not math.isfinite(value):
                 raise ValueError("not finite")
-            return value
-        if kind == "int":
-            value = float(raw)
+            if kind == "float":
+                return value
             if value != int(value):
                 raise ValueError("not an integer")
             return int(value)
@@ -240,8 +242,13 @@ def _resolve_sweep(mapping, defaults, prep) -> SweepRequest | None:
         )
         if step <= 0 or stop < start:
             raise ConfigError("sweep range must have step > 0 and stop >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        values = tuple(start + i * step for i in range(count))
+        # the grid has floor(steps) + 1 values; steps may be inf
+        steps = (stop - start) / step + 1e-9
+        if not steps < MAX_SWEEP_ROWS:
+            raise ConfigError(
+                f"sweep range has more than MAX_SWEEP_ROWS = {MAX_SWEEP_ROWS} values"
+            )
+        values = tuple(start + i * step for i in range(int(steps) + 1))
     if variable in ("n", "m"):
         if any(v != int(v) or v < 0 for v in values):
             raise ConfigError(f"sweep over {variable} requires non-negative integers")

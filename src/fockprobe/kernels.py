@@ -68,17 +68,11 @@ def c_closed(setup: ProbeSetup, beta: int, sign: int) -> complex:
     return complex(_closed_array(setup, np.array([beta]), sign, _reduced_kernel, 2)[0])
 
 
-def _envelope_overlap_closed(s, b):
-    """Inner integral K(s) = int_0^{1-s} sin(b(r+s)) sin(br) dr, elementary form."""
-    return 0.5 * (1.0 - s) * np.cos(b * s) - (np.sin(b * (2.0 - s)) - np.sin(b * s)) / (4.0 * b)
-
-
 def c_quadrature(
     setup: ProbeSetup,
     beta: int,
     sign: int,
     quad_tol: float = 1e-9,
-    inner: str = "quad",
     max_intervals: int = 3000,
 ) -> complex:
     """Kernel by nested numerical integration (oracle path).
@@ -89,59 +83,54 @@ def c_quadrature(
         K(s) = Integral_0^{1-s} sin(b(r+s)) sin(br) dr,
 
     then integrates the outer oscillation with QUADPACK's weighted scheme and
-    the slow inner overlap either numerically (``inner="quad"``, fully
-    independent of the closed form) or from its elementary antiderivative
-    (``inner="closed"``, fast path).
+    the slow inner overlap numerically, independent of the closed form.  Each
+    of Re and Im is asked for ``quad_tol / 2``, so that their summed error
+    estimates meet the check: :class:`ConvergenceError` when they exceed
+    ``quad_tol * max(|C|, 1e-3 T^2)``.
     """
     _check_mode_sign(beta, sign)
     if quad_tol <= 0:
         raise ParameterError(f"quad_tol must be positive, got {quad_tol}")
-    if inner not in ("quad", "closed"):
-        raise ParameterError(f"inner must be 'quad' or 'closed', got {inner!r}")
     T = setup.crossing_time
     a, b = _transit_phases(setup, beta, sign)
+    inner_limit = 60 + 10 * beta
 
-    if inner == "closed":
-        K = lambda s: _envelope_overlap_closed(s, b)
-    else:
-        inner_limit = 60 + 10 * beta
-
-        def K(s):
-            val, _ = quad(
-                lambda r: np.sin(b * (r + s)) * np.sin(b * r),
-                0.0,
-                1.0 - s,
-                epsabs=1e-14,
-                epsrel=1e-12,
-                limit=inner_limit,
-            )
-            return val
+    def K(s):
+        val, _ = quad(
+            lambda r: np.sin(b * (r + s)) * np.sin(b * r),
+            0.0,
+            1.0 - s,
+            epsabs=1e-14,
+            epsrel=1e-12,
+            limit=inner_limit,
+        )
+        return val
 
     aa = abs(a)
     if aa < 1e-6:
         re_res = quad(lambda s: np.cos(aa * s) * K(s), 0.0, 1.0,
-                      epsabs=1e-14, epsrel=quad_tol, limit=max_intervals,
+                      epsabs=1e-14, epsrel=quad_tol / 2, limit=max_intervals,
                       full_output=1)
         im_res = quad(lambda s: np.sin(aa * s) * K(s), 0.0, 1.0,
-                      epsabs=1e-14, epsrel=quad_tol, limit=max_intervals,
+                      epsabs=1e-14, epsrel=quad_tol / 2, limit=max_intervals,
                       full_output=1)
-        re, ere = re_res[0], re_res[1]
-        im, eim = im_res[0], im_res[1]
     else:
         re_res = quad(K, 0.0, 1.0, weight="cos", wvar=aa, epsabs=1e-16,
-                      epsrel=quad_tol, limit=max_intervals, maxp1=120, full_output=1)
+                      epsrel=quad_tol / 2, limit=max_intervals, maxp1=120,
+                      full_output=1)
         im_res = quad(K, 0.0, 1.0, weight="sin", wvar=aa, epsabs=1e-16,
-                      epsrel=quad_tol, limit=max_intervals, maxp1=120, full_output=1)
-        re, ere = re_res[0], re_res[1]
-        im, eim = im_res[0], im_res[1]
+                      epsrel=quad_tol / 2, limit=max_intervals, maxp1=120,
+                      full_output=1)
+    (re, ere), (im, eim) = re_res[:2], im_res[:2]
     value = T * T * (re + 1j * im)
     err = T * T * (ere + eim)
     if a < 0:
         value = np.conj(value)
-    if err > quad_tol * max(abs(value), T * T * 1e-3):
+    bound = quad_tol * max(abs(value), T * T * 1e-3)
+    if err > bound:
         raise ConvergenceError(
             f"kernel quadrature (beta={beta}, sign={sign:+d}) error estimate "
-            f"{err:.3g} exceeds tolerance (achieved {err:.3g})"
+            f"{err:.3g} exceeds tolerance {bound:.3g}"
         )
     return complex(value)
 

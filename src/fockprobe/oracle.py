@@ -7,9 +7,19 @@ interaction-picture coupling
            * Sum_beta (a_beta^dag e^{i omega_beta t} + a_beta e^{-i omega_beta t})
            * sin(k_beta v t) / sqrt(k_beta L),
 
-no rotating-wave or single-mode approximation, over the transit [0, T].  The
-overlap with the initial state yields a numerically exact eta to compare with
-the second-order closed forms; the mismatch must shrink like lambda^4.
+no rotating-wave or single-mode approximation, over the transit [0, T].  On
+the basis (ground, excited) x field it is the block matrix
+
+    H(t) = [[0, F(t)^dag], [F(t), 0]],
+    F(t) = Sum_beta (w+_beta(t) a_beta^dag + w-_beta(t) a_beta),
+    w+/-_beta(t) = lambda sin(k_beta v t) / sqrt(beta pi) e^{i (Omega +/- omega_beta) t},
+
+where F(t) raises the atom.  The weights come from one function and the
+field ladders from one stacked operator, shared by :func:`build_hamiltonian`
+and the right-hand side that :func:`evolve` integrates.
+
+The overlap with the initial state yields a numerically exact eta to compare
+with the second-order closed forms; the mismatch must shrink like lambda^4.
 
 Run this at scaled parameters (c = 1, L = 1, moderate gap): the phase physics
 is invariant under rescaling the cavity at fixed lambda/Omega and v, while SI
@@ -56,7 +66,6 @@ class HilbertTruncation:
     """
 
     modes: tuple
-    probed_headroom: int = 4
 
     def __post_init__(self):
         betas = [b for b, _ in self.modes]
@@ -101,64 +110,58 @@ def default_truncation(
         (beta, prep.photons + headroom if beta == prep.mode else others_max)
         for beta in range(1, top + 1)
     )
-    return HilbertTruncation(modes=modes, probed_headroom=headroom)
+    return HilbertTruncation(modes=modes)
 
 
 class _OracleSpace:
-    """Cached basis layout and ladder operators for one truncation.
+    """Basis layout and stacked field ladders for one truncation.
 
-    Basis index = atom * field_dim + field index; the field index encodes the
-    occupation digits of the modes in listed order, last mode fastest.
+    Basis index = atom * field_dim + field index, atom 0 ground and 1
+    excited; the field index encodes the occupation digits of the modes in
+    listed order, last mode fastest.  ``ladders`` is the real
+    (2K field_dim, field_dim) stack of a_1^dag..a_K^dag, a_1..a_K on the field
+    space, each a kron of identities with one single-mode ladder.
     """
 
     def __init__(self, truncation: HilbertTruncation):
-        self.modes = tuple(sorted(truncation.modes))
-        self.betas = [b for b, _ in self.modes]
-        dims = [nm + 1 for _, nm in self.modes]
-        self.dims = dims
-        self.field_dim = int(np.prod(dims))
+        modes = sorted(truncation.modes)
+        self.betas = np.array([b for b, _ in modes])
+        self.dims = [nmax + 1 for _, nmax in modes]
+        self.field_dim = int(np.prod(self.dims))
         self.dim = 2 * self.field_dim
-        strides = []
-        acc = 1
-        for d in reversed(dims):
-            strides.insert(0, acc)
-            acc *= d
-        self.strides = strides
-        sigma_plus = sparse.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        self.raising_ops = []  # (sigma+ a^dag, its dagger, sigma+ a, its dagger)
-        for mi, (beta, nmax) in enumerate(self.modes):
-            rows, cols, vals = [], [], []
-            for idx in range(self.field_dim):
-                occ = (idx // strides[mi]) % dims[mi]
-                if occ < nmax:
-                    rows.append(idx + strides[mi])
-                    cols.append(idx)
-                    vals.append(np.sqrt(occ + 1.0))
-            adag = sparse.csr_matrix(
-                (vals, (rows, cols)), shape=(self.field_dim, self.field_dim)
+        raising = [
+            sparse.kron(
+                sparse.kron(sparse.identity(int(np.prod(self.dims[:i]))),
+                            sparse.diags(np.sqrt(np.arange(1.0, d)), -1)),
+                sparse.identity(int(np.prod(self.dims[i + 1:]))),
             )
-            P = sparse.kron(sigma_plus, adag, format="csr")
-            Q = sparse.kron(sigma_plus, adag.T.tocsr(), format="csr")
-            self.raising_ops.append((P, P.conj().T.tocsr(), Q, Q.conj().T.tocsr()))
+            for i, d in enumerate(self.dims)
+        ]
+        self.ladders = sparse.vstack(raising + [op.T for op in raising], format="csr")
 
     def initial_index(self, prep: FieldPreparation) -> int:
-        mi = self.betas.index(prep.mode)
-        return prep.photons * self.strides[mi]
+        mi = list(self.betas).index(prep.mode)
+        return prep.photons * int(np.prod(self.dims[mi + 1:]))
+
+
+def _coefficients(setup: ProbeSetup, betas, t: float):
+    """Weights w of F(t) = w . (a_1^dag..a_K^dag, a_1..a_K) at time t.
+
+    w^(+/-)_beta = lambda sin(k_beta v t) / sqrt(beta pi) e^{i (Omega +/- omega_beta) t}.
+    """
+    envelopes = setup.coupling / np.sqrt(betas * np.pi) * np.sin(
+        setup.wavenumber(betas) * setup.atom_speed * t)
+    omegas = setup.mode_frequency(betas)
+    return np.concatenate((envelopes, envelopes)) * np.exp(
+        1j * (setup.atom_gap + np.concatenate((omegas, -omegas))) * t)
 
 
 def build_hamiltonian(setup: ProbeSetup, truncation: HilbertTruncation, t: float):
-    """Sparse Hermitian H(t) on the truncated space at one instant."""
+    """Sparse Hermitian H(t) = [[0, F(t)^dag], [F(t), 0]] on the truncated space."""
     space = _OracleSpace(truncation)
-    H = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for mi, beta in enumerate(space.betas):
-        omega = setup.mode_frequency(beta)
-        kv = setup.wavenumber(beta) * setup.atom_speed
-        pref = setup.coupling * np.sin(kv * t) / np.sqrt(beta * np.pi)
-        P, Pd, Q, Qd = space.raising_ops[mi]
-        cp = pref * cmath.exp(1j * (setup.atom_gap + omega) * t)
-        cm = pref * cmath.exp(1j * (setup.atom_gap - omega) * t)
-        H = H + cp * P + np.conj(cp) * Pd + cm * Q + np.conj(cm) * Qd
-    return H
+    w = _coefficients(setup, space.betas, t)
+    F = sparse.kron(w[None, :], sparse.identity(space.field_dim)) @ space.ladders
+    return sparse.bmat([[None, F.conj().T], [F, None]], format="csr")
 
 
 def _check_integ_tol(integ_tol: float, label: str = "integ_tol") -> None:
@@ -207,28 +210,16 @@ def evolve(
 
     space = _OracleSpace(truncation)
     T = setup.crossing_time
-    omegas = np.array([setup.mode_frequency(b) for b in space.betas])
-    kvs = np.array([setup.wavenumber(b) * setup.atom_speed for b in space.betas])
-    prefs = setup.coupling / np.sqrt(np.array(space.betas) * np.pi)
-    gap = setup.atom_gap
-    ops = space.raising_ops
-    n_modes = len(ops)
-
+    betas, ladders, fd = space.betas, space.ladders, space.field_dim
     psi0 = np.zeros(space.dim, dtype=complex)
     psi0[space.initial_index(prep)] = 1.0
 
     def rhs(t, psi):
-        out = np.zeros_like(psi)
-        envelopes = prefs * np.sin(kvs * t)
-        plus = envelopes * np.exp(1j * (gap + omegas) * t)
-        minus = envelopes * np.exp(1j * (gap - omegas) * t)
-        for mi in range(n_modes):
-            P, Pd, Q, Qd = ops[mi]
-            cp = plus[mi]
-            cm = minus[mi]
-            out += cp * (P @ psi) + np.conj(cp) * (Pd @ psi)
-            out += cm * (Q @ psi) + np.conj(cm) * (Qd @ psi)
-        return -1j * out
+        w = _coefficients(setup, betas, t)
+        w_dagger = np.conj(w.reshape(2, -1)[::-1]).ravel()  # of a^dag, a in F^dag
+        excited = w @ (ladders @ psi[:fd]).reshape(-1, fd)          # F psi_g
+        ground = w_dagger @ (ladders @ psi[fd:]).reshape(-1, fd)    # F^dag psi_e
+        return -1j * np.concatenate((ground, excited))
 
     rtol = integ_tol
     atol = integ_tol * 1e-2

@@ -229,11 +229,12 @@ def write_outputs(output, header, rows, config, command, messages=(), extra=None
     return manifest_path
 
 
-def run_sweep(spec: SweepSpec, quiet: bool = False):
+def run_sweep(spec: SweepSpec, quiet: bool = False, messages=()):
     """Compute, then write CSV and manifest; returns (csv_path, manifest_path).
 
     Warnings raised while computing go to the manifest and, unless ``quiet``,
-    to stderr.
+    to stderr, after ``messages`` (warnings raised before the sweep, such as
+    while resolving its configuration).
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -243,7 +244,8 @@ def run_sweep(spec: SweepSpec, quiet: bool = False):
         "truncation": report.as_dict(),
     }
     manifest_path = write_outputs(spec.output, header, rows, spec, "sweep",
-                                  [str(w.message) for w in caught], extra, quiet)
+                                  [*messages, *(str(w.message) for w in caught)],
+                                  extra, quiet)
     return spec.output, manifest_path
 
 

@@ -62,12 +62,18 @@ def test_randomized_grid_against_nested_quadrature(rng):
         assert abs(closed - quadv) <= 1e-8 * max(abs(closed), 1e-9)
 
 
-def test_fast_inner_path_matches_independent_inner():
-    setup = resonant(2, speed=2e-2)
-    for beta, sign in [(1, +1), (4, -1)]:
-        slow = c_quadrature(setup, beta, sign, inner="quad")
-        fast = c_quadrature(setup, beta, sign, inner="closed")
-        assert abs(slow - fast) <= 1e-9 * max(abs(slow), 1e-12)
+# Rotating-sign points (mode, transit phase a) at L = 1.988, v = 0.01288 where
+# Re and Im each met quad_tol but their summed error estimates did not.
+@pytest.mark.parametrize("beta, a", [(4, 9.21), (2, 4.42), (3, 0.81)])
+def test_quadrature_requests_meet_the_summed_error_check(beta, a):
+    length, speed = 1.988, 0.01288
+    T = length / speed
+    gap = beta * math.pi / length - a / T
+    setup = build_setup(length, speed, light_speed=1.0, atom_gap=gap,
+                        coupling_ratio=1e-4, unit_mode="natural")
+    closed = c_closed(setup, beta, -1)
+    quadv = c_quadrature(setup, beta, -1)
+    assert abs(closed - quadv) <= 1e-9 * max(abs(closed), 1e-3 * T * T)
 
 
 def test_nonrelativistic_limit():

@@ -70,6 +70,31 @@ def test_hamiltonian_single_mode_ladder_entries():
     assert H[0, 1] == H[2, 3] == H[0, 2] == H[1, 3] == 0.0
 
 
+def test_evolved_rhs_is_minus_i_hamiltonian(monkeypatch):
+    # the right-hand side evolve integrates is -i H(t) psi with the same H(t)
+    # that build_hamiltonian returns, on a truncation with unequal mode caps
+    captured = {}
+
+    def capture(fun, *args, **kwargs):
+        captured["rhs"] = fun
+        raise InterruptedError
+
+    monkeypatch.setattr(oracle, "solve_ivp", capture)
+    setup = fast(ratio=1e-4)
+    prep = prepare_field(setup, 2, 1)
+    trunc = HilbertTruncation(modes=((3, 2), (1, 1), (2, 4), (5, 1)))
+    with pytest.raises(InterruptedError):
+        evolve(setup, prep, trunc, integ_tol=1e-10)
+    rng = np.random.default_rng(5)
+    dim = trunc.dimension
+    for t in (0.0, 0.3, 17.0, 61.7, 99.0):
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        expected = -1j * (build_hamiltonian(setup, trunc, t) @ psi)
+        got = captured["rhs"](t, psi)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected)) + 1e-300
+
+
 def test_zero_coupling_evolution_is_identity():
     setup = build_setup(1.0, 1e-2, light_speed=1.0, resonant_with_mode=2,
                         coupling_ratio=0.0, unit_mode="natural")

@@ -6,6 +6,7 @@ import pytest
 
 from fockprobe import resolve_mapping, run_sweep, spec_from_config
 from fockprobe.cli import main
+from fockprobe.config import MAX_SWEEP_ROWS, ConfigError
 
 NATURAL_BASE = {
     "units.mode": "natural",
@@ -121,6 +122,26 @@ def test_cli_warnings_reach_stderr_unless_quiet(tmp_path, capsys):
     assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in manifest["warnings"])
     assert main(["phase", "--config", str(config), "--quiet"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["phase"], ["amplitudes", "--mode", "2"], ["sweep"],
+])
+def test_cli_config_time_warnings_are_captured(tmp_path, capsys, command):
+    # build_setup warns about this coupling ratio while the config resolves
+    cfg = write_config(tmp_path, {
+        **OPTICAL_LINES,
+        "atom.coupling_ratio": "1e-2",
+        "sweep.variable": "n",
+        "sweep.start": "0",
+        "sweep.stop": "2",
+        "sweep.step": "1",
+    })
+    out = tmp_path / "out.csv"
+    assert main([*command, "--config", str(cfg), "--output", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert any("coupling ratio 0.01" in w for w in manifest["warnings"])
 
 
 def test_cli_amplitudes_stdout(tmp_path, capsys):
@@ -262,6 +283,35 @@ def test_cli_config_errors(tmp_path, capsys):
     assert main(["phase", "--config", str(bad)]) == 1
     assert main(["phase"]) == 1  # --config required
     capsys.readouterr()
+
+
+# Grids one value over the cap and of infinite count (stop - start overflows).
+# Neither is built, since the count is checked first; a much larger finite
+# grid is left out because a build before the check would exhaust memory.
+@pytest.mark.parametrize("lines", [
+    {"field.photons": "1e400"},
+    {"sweep.variable": "n", "sweep.start": "0", "sweep.stop": str(MAX_SWEEP_ROWS),
+     "sweep.step": "1"},
+    {"sweep.variable": "delta", "sweep.start": "-1e308", "sweep.stop": "1e308",
+     "sweep.step": "1"},
+])
+def test_cli_rejects_unbounded_input(tmp_path, capsys, lines):
+    cfg = write_config(tmp_path, {**OPTICAL_LINES, **lines})
+    out = tmp_path / "out.csv"
+    command = "sweep" if "sweep.variable" in lines else "phase"
+    assert main([command, "--config", str(cfg), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sweep_row_cap_boundary():
+    mapping = {**small_sweep_mapping(), "sweep.stop": MAX_SWEEP_ROWS - 1}
+    assert len(resolve_mapping(mapping).sweep.values) == MAX_SWEEP_ROWS
+    mapping["sweep.stop"] = MAX_SWEEP_ROWS
+    with pytest.raises(ConfigError, match="MAX_SWEEP_ROWS"):
+        resolve_mapping(mapping)
 
 
 def test_cli_sweep_preset(tmp_path):
