@@ -23,14 +23,12 @@ from .kernels import c_closed, c_quadrature, mode_sum_offres
 from .model import ParameterError, prepare_field
 from .observables import (
     BranchError,
-    _eta_from_amplitude,
     classify_validity,
+    eta_phase,
     fringe,
-    phase_components,
     probe_outcome,
     resolution_curve,
     resolution_threshold,
-    survival_amplitude,
     transition_probability,
     validity,
 )
@@ -268,13 +266,11 @@ def _cmd_verify(args, caught) -> int:
         kept = [b for b, _ in trunc.modes]
         result = evolve(setup, prep, trunc, integ_tol=args.tol)
         pert_p = transition_probability(setup, prep, policy, modes=kept).total
-        comps = phase_components(setup, prep.mode, policy, modes=kept)
-        amp = survival_amplitude(comps, setup, prep.photons)
-        eta, gamma, vis = _eta_from_amplitude(amp)
+        phase = eta_phase(setup, prep, policy, modes=kept)
         pairs = [
             ("p_excite", pert_p, result.p_excite_numeric),
-            ("gamma", gamma, result.eta_numeric.real),
-            ("im_eta", eta.imag, result.eta_numeric.imag),
+            ("gamma", phase.gamma, result.eta_numeric.real),
+            ("im_eta", phase.eta.imag, result.eta_numeric.imag),
         ]
         header = ["observable", "perturbative", "oracle", "abs_dev", "rel_dev"]
         rows = []
@@ -284,10 +280,10 @@ def _cmd_verify(args, caught) -> int:
             rows.append([name, pert, orac, dev, rel])
         # Second order is trustworthy when the mismatch is far below the
         # signal itself; flag otherwise.
-        ok = abs(gamma - result.eta_numeric.real) <= 0.05 * max(abs(gamma), 1e-300)
+        ok = abs(phase.gamma - result.eta_numeric.real) <= 0.05 * max(abs(phase.gamma), 1e-300)
         ok = ok and result.norm_drift <= 10.0 * args.tol
         summary = ("PASS" if ok else "FAIL") + (
-            f": gamma dev {abs(gamma - result.eta_numeric.real):.3e}, "
+            f": gamma dev {abs(phase.gamma - result.eta_numeric.real):.3e}, "
             f"norm drift {result.norm_drift:.3e}"
         )
         extra = {

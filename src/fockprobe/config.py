@@ -81,25 +81,37 @@ class ResolvedConfig:
     defaults_applied: dict
 
 
-def _parse_scalar(key: str, raw: str):
+def _finite(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
+def _parse_scalar(key: str, raw):
+    """Check one value, as config-file text or as a Python value, against its key's type.
+
+    Lists are comma-separated text or a sequence of numbers.
+    """
     kind = KNOWN_KEYS[key][0]
     try:
-        if kind in ("float", "int"):
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError("not finite")
-            if kind == "float":
-                return value
-            if value != int(value):
-                raise ValueError("not an integer")
-            return int(value)
+        if kind == "str":
+            if not isinstance(raw, str):
+                raise TypeError("not a string")
+            return raw.strip()
         if kind == "list":
-            items = [part.strip() for part in raw.split(",") if part.strip()]
-            if not items:
+            items = raw.split(",") if isinstance(raw, str) else raw
+            values = tuple(_finite(item) for item in items if str(item).strip())
+            if not values:
                 raise ValueError("empty list")
-            return tuple(float(item) for item in items)
-        return raw.strip()
-    except ValueError as exc:
+            return values
+        value = _finite(raw)
+        if kind == "float":
+            return value
+        if value != int(value):
+            raise ValueError("not an integer")
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
 
 
@@ -126,12 +138,7 @@ def resolve_mapping(mapping: dict) -> ResolvedConfig:
     unknown = set(mapping) - set(KNOWN_KEYS)
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
-    mapping = {
-        key: _parse_scalar(key, value)
-        if isinstance(value, str) and KNOWN_KEYS[key][0] != "str"
-        else value
-        for key, value in mapping.items()
-    }
+    mapping = {key: _parse_scalar(key, value) for key, value in mapping.items()}
     for key, (_, mandatory) in KNOWN_KEYS.items():
         if mandatory and key not in mapping:
             raise ConfigError(f"missing mandatory key {key!r}")

@@ -14,7 +14,6 @@ the single Ln of the amplitude ratio, never by subtracting two rounded phases.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -167,23 +166,45 @@ def survival_amplitude(components: PhaseComponents, setup: ProbeSetup, n: int) -
     return 1.0 - lam2 * bracket
 
 
+def _branch_failures(consequence: str, *amplitudes, where=True) -> dict:
+    """Row -> message, in row order, for the rows in ``where`` with Re A <= 0.
+
+    A row fails if any of ``amplitudes`` does; its message names the first.
+    """
+    failed = {}
+    for amps in amplitudes:
+        for row in np.flatnonzero((amps.real <= 0.0) & where):
+            failed.setdefault(int(row), f"survival amplitude {complex(amps[row]):.6g} has "
+                                        f"non-positive real part; {consequence}")
+    return dict(sorted(failed.items()))
+
+
+def eta_rows(amplitudes):
+    """Principal-branch eta = -i Ln A for each row of an array of amplitudes.
+
+    Returns ``(eta, visibility, failed)`` with visibility = exp(-|Im eta|).
+    ``failed`` maps each row with Re A <= 0 to its message, in row order;
+    eta and visibility are NaN there.  Warns once per row, in row order,
+    where |eta| > pi/2.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    failed = _branch_failures("principal-branch phase extraction is ambiguous", amplitudes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = -1j * np.log(amplitudes)
+    eta[list(failed)] = complex(math.nan, math.nan)
+    size = np.abs(eta)
+    for row in np.flatnonzero(size > BRANCH_WARN):
+        warnings.warn(f"|eta| = {size[row]:.3g} inside principal-branch ambiguity zone "
+                      "(> pi/2)", ProbeWarning, stacklevel=2)
+    return eta, np.exp(-np.abs(eta.imag)), failed
+
+
 def _eta_from_amplitude(amplitude: complex):
-    if amplitude.real <= 0.0:
-        raise BranchError(
-            f"survival amplitude {amplitude:.6g} has non-positive real part; "
-            "principal-branch phase extraction is ambiguous"
-        )
-    eta = -1j * cmath.log(amplitude)
-    if abs(eta) > BRANCH_WARN:
-        warnings.warn(
-            f"|eta| = {abs(eta):.3g} inside principal-branch ambiguity zone "
-            f"(> pi/2)",
-            ProbeWarning,
-            stacklevel=3,
-        )
-    gamma = eta.real
-    vis = math.exp(-abs(eta.imag))
-    return eta, gamma, vis
+    eta, visibility, failed = eta_rows([amplitude])
+    if failed:
+        raise BranchError(failed[0])
+    eta = complex(eta[0])
+    return eta, eta.real, float(visibility[0])
 
 
 @dataclass(frozen=True)
@@ -249,6 +270,28 @@ def probe_outcome(
     )
 
 
+def delta_gamma_rows(components: PhaseComponents, setup: ProbeSetup, n, m):
+    """arg(A(n+m) / A(n)) for each row of the photon-number arrays ``n`` and ``m``.
+
+    Returns ``(delta_gamma, failed)``.  A row with m = 0 is 0.0 and never
+    fails.  ``failed`` maps each other row where A(n+m) or A(n), tested in
+    that order, has Re A <= 0 to its message, in row order; delta_gamma is
+    NaN there.  Raises :class:`ParameterError` if any n or m is negative.
+    """
+    n, m = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(m, dtype=float))
+    if np.any(n < 0) or np.any(m < 0):
+        raise ParameterError("photon numbers must be non-negative")
+    a_hi = survival_amplitude(components, setup, n + m)
+    a_lo = survival_amplitude(components, setup, n)
+    moved = m != 0
+    failed = _branch_failures("phase difference is branch-ambiguous", a_hi, a_lo,
+                              where=moved)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta_gamma = np.where(moved, np.angle(a_hi / a_lo), 0.0)
+    delta_gamma[list(failed)] = math.nan
+    return delta_gamma, failed
+
+
 def delta_gamma_exact(
     setup: ProbeSetup,
     alpha: int,
@@ -264,20 +307,11 @@ def delta_gamma_exact(
     subtracting two separately rounded phases at small coupling.  Pass
     ``components`` to reuse kernel evaluations across rows.
     """
-    if m < 0 or n < 0:
-        raise ParameterError("photon numbers must be non-negative")
-    if m == 0:
-        return 0.0
     comps = components if components is not None else phase_components(setup, alpha, policy, modes)
-    a_hi = survival_amplitude(comps, setup, n + m)
-    a_lo = survival_amplitude(comps, setup, n)
-    for amp in (a_hi, a_lo):
-        if amp.real <= 0.0:
-            raise BranchError(
-                f"survival amplitude {amp:.6g} has non-positive real part; "
-                "phase difference is branch-ambiguous"
-            )
-    return float(np.angle(a_hi / a_lo))
+    delta_gamma, failed = delta_gamma_rows(comps, setup, [n], [m])
+    if failed:
+        raise BranchError(failed[0])
+    return float(delta_gamma[0])
 
 
 def delta_gamma_linear(setup: ProbeSetup, alpha: int, m: int) -> float:
@@ -306,17 +340,13 @@ def resolution_curve(
     Rows are ordered by n then m.  A row whose phase extraction fails the
     branch guard gets NaN and a warning instead of aborting the table.
     """
-    comps = phase_components(setup, alpha, policy)
-    rows = []
-    for n in n_range:
-        for m in m_list:
-            try:
-                dg = delta_gamma_exact(setup, alpha, int(n), int(m), policy, components=comps)
-            except BranchError as exc:
-                warnings.warn(f"row (n={n}, m={m}): {exc}", ProbeWarning, stacklevel=2)
-                dg = float("nan")
-            rows.append((int(n), int(m), dg))
-    return rows
+    keys = [(int(n), int(m)) for n in n_range for m in m_list]
+    n, m = np.array(keys, dtype=float).reshape(-1, 2).T
+    delta_gamma, failed = delta_gamma_rows(phase_components(setup, alpha, policy), setup, n, m)
+    for row, message in failed.items():
+        warnings.warn(f"row (n={keys[row][0]}, m={keys[row][1]}): {message}", ProbeWarning,
+                      stacklevel=2)
+    return [(n, m, dg) for (n, m), dg in zip(keys, delta_gamma.tolist())]
 
 
 def resolution_threshold(
@@ -333,18 +363,16 @@ def resolution_threshold(
     """
     comps = phase_components(setup, alpha, policy)
 
-    def dg1(n):
-        return delta_gamma_exact(setup, alpha, n, 1, policy, components=comps)
+    def above(n):
+        # a row past the branch guard is NaN, which counts as below the floor
+        delta_gamma, _ = delta_gamma_rows(comps, setup, [n], [1])
+        return delta_gamma[0] >= resolution_floor
 
-    if dg1(0) < resolution_floor:
+    if delta_gamma_exact(setup, alpha, 0, 1, policy, components=comps) < resolution_floor:
         return None
-    lo = 0
-    hi = 1
+    lo, hi = 0, 1
     while hi <= n_cap:
-        try:
-            if dg1(hi) < resolution_floor:
-                break
-        except BranchError:
+        if not above(hi):
             break
         lo = hi
         hi *= 2
@@ -353,11 +381,7 @@ def resolution_threshold(
     hi = min(hi, n_cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        try:
-            above = dg1(mid) >= resolution_floor
-        except BranchError:
-            above = False
-        if above:
+        if above(mid):
             lo = mid
         else:
             hi = mid

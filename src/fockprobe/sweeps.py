@@ -1,11 +1,13 @@
 """Parameter sweeps with deterministic CSV output and run manifests.
 
 A sweep walks one variable (photon number, photon difference, detuning, atom
-speed, or coupling ratio), computes the transit observables per row, and emits
-a CSV plus a JSON manifest recording the fully resolved configuration, the
-truncation behaviour, and every warning raised along the way.  Identical
-configurations produce byte-identical files; row failures are isolated into a
-status column instead of aborting the run.
+speed, or coupling ratio) and emits a CSV plus a JSON manifest recording the
+fully resolved configuration, the truncation behaviour, and every warning
+raised along the way.  Each column is one array, through
+``observables.eta_rows`` or ``observables.delta_gamma_rows``; only detuning,
+speed and coupling-ratio rows need a setup and a mode sum each.  Identical
+configurations produce byte-identical files; a failed row gets NaN cells and
+an ``error: ...`` status instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -13,29 +15,24 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .amplitudes import ConvergenceError
 from .config import ResolvedConfig, SweepRequest, resolve_mapping
-from .model import (
-    FieldPreparation,
-    ParameterError,
-    ProbeSetup,
-    build_setup,
-    prepare_field,
-)
+from .model import FieldPreparation, ParameterError, ProbeSetup, build_setup
 from .observables import (
-    BranchError,
     classify_validity,
-    delta_gamma_exact,
-    eta_phase,
+    delta_gamma_rows,
+    eta_rows,
     phase_components,
     survival_amplitude,
     validity,
-    _eta_from_amplitude,
 )
 
 
@@ -74,105 +71,77 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _phase_row_builder(spec: SweepSpec, comps):
-    """Rows (x, gamma, visibility, validity, status) for a swept variable."""
-    request = spec.request
-    setup, prep = spec.setup, spec.prep
+def _rebuilt_amplitudes(spec: SweepSpec):
+    """A(fixed_n) and validity per row of a delta, speed or coupling_ratio sweep.
 
-    if request.variable == "n":
-        def compute(value):
-            amplitude = survival_amplitude(comps, setup, int(value))
-            eta, gamma, vis = _eta_from_amplitude(amplitude)
-            val = validity(setup, FieldPreparation(prep.mode, int(value), prep.detuning))
-            return (gamma, vis, val)
-
-        return compute
-
-    def rebuilt_setup(value):
-        if request.variable == "delta":
-            return build_setup(
-                setup.cavity_length,
-                setup.atom_speed,
-                light_speed=setup.light_speed,
-                resonant_with_mode=prep.mode,
-                detuning=float(value),
-                coupling_ratio=setup.coupling_ratio,
-                unit_mode=setup.unit_mode,
-            )
-        if request.variable == "speed":
-            return build_setup(
-                setup.cavity_length,
-                float(value),
-                light_speed=setup.light_speed,
-                atom_gap=setup.atom_gap,
-                coupling_ratio=setup.coupling_ratio,
-                unit_mode=setup.unit_mode,
-            )
-        return build_setup(
-            setup.cavity_length,
-            setup.atom_speed,
-            light_speed=setup.light_speed,
-            atom_gap=setup.atom_gap,
-            coupling_ratio=float(value),
-            unit_mode=setup.unit_mode,
-        )
-
-    def compute(value):
-        row_setup = rebuilt_setup(value)
-        row_prep = prepare_field(row_setup, prep.mode, request.fixed_n)
-        phase = eta_phase(row_setup, row_prep, spec.policy)
-        return (phase.gamma, phase.visibility, validity(row_setup, row_prep))
-
-    return compute
+    Each row needs its own setup and mode sum.  Returns ``(amplitudes,
+    validities, failed)``: a row whose setup or mode sum fails is NaN in both
+    and ``failed`` maps it to the message.
+    """
+    request, setup, prep = spec.request, spec.setup, spec.prep
+    fixed = dict(atom_speed=setup.atom_speed, light_speed=setup.light_speed,
+                 coupling_ratio=setup.coupling_ratio, unit_mode=setup.unit_mode)
+    if request.variable == "delta":
+        fixed["resonant_with_mode"] = prep.mode
+    else:
+        fixed["atom_gap"] = setup.atom_gap
+    axis = {"delta": "detuning", "speed": "atom_speed",
+            "coupling_ratio": "coupling_ratio"}[request.variable]
+    row_prep = FieldPreparation(prep.mode, request.fixed_n)
+    amplitudes = np.full(len(request.values), complex(math.nan, math.nan))
+    validities = np.full(len(request.values), math.nan)
+    failed = {}
+    for row, value in enumerate(request.values):
+        try:
+            row_setup = build_setup(setup.cavity_length, **{**fixed, axis: float(value)})
+            comps = phase_components(row_setup, prep.mode, spec.policy)
+        except (ParameterError, ConvergenceError) as exc:
+            failed[row] = str(exc)
+        else:
+            amplitudes[row] = survival_amplitude(comps, row_setup, request.fixed_n)
+            validities[row] = validity(row_setup, row_prep)
+    return amplitudes, validities, failed
 
 
 def compute_rows(spec: SweepSpec):
-    """Evaluate all rows; per-row failures become status messages.
+    """Evaluate every row as one array per column; failed rows get a status message.
 
     Returns (header, rows, report): ``report`` is the truncation report of the
     phase components at the configured base point, which n and m rows reuse.
     """
-    request = spec.request
-    comps = phase_components(spec.setup, spec.prep.mode, spec.policy)
+    request, setup, prep = spec.request, spec.setup, spec.prep
+    comps = phase_components(setup, prep.mode, spec.policy)
     if request.variable == "m":
         header = ["m", "delta_gamma", "status"]
-        tasks = [(int(m),) for m in request.values]
-
-        def run(task):
-            (m,) = task
-            dg = delta_gamma_exact(
-                spec.setup, spec.prep.mode, request.fixed_n, m,
-                spec.policy, components=comps,
-            )
-            return [m, dg]
+        keys = [(m,) for m in request.values]
+        delta_gamma, failed = delta_gamma_rows(comps, setup, request.fixed_n, request.values)
+        columns = [delta_gamma]
     elif request.observable == "resolution":
         header = ["n", "m", "delta_gamma", "status"]
-        tasks = [(int(n), int(m)) for n in request.values for m in request.m_values]
-
-        def run(task):
-            n, m = task
-            dg = delta_gamma_exact(
-                spec.setup, spec.prep.mode, n, m, spec.policy, components=comps
-            )
-            return [n, m, dg]
+        keys = [(n, m) for n in request.values for m in request.m_values]
+        delta_gamma, failed = delta_gamma_rows(comps, setup, *np.array(keys, dtype=float).T)
+        columns = [delta_gamma]
     else:
         header = [request.variable, "gamma", "visibility", "validity", "status"]
-        compute = _phase_row_builder(spec, comps)
-        tasks = [(value,) for value in request.values]
-
-        def run(task):
-            (value,) = task
-            gamma, vis, val = compute(value)
-            return [value, gamma, vis, val]
-
-    def safe(task):
-        try:
-            return run(task) + ["ok"]
-        except (BranchError, ConvergenceError, ParameterError) as exc:
-            blanks = [float("nan")] * (len(header) - len(task) - 1)
-            return list(task) + blanks + [f"error: {exc}"]
-
-    return header, [safe(task) for task in tasks], comps.report
+        keys = [(value,) for value in request.values]
+        if request.variable == "n":
+            amplitudes = survival_amplitude(comps, setup, np.array(request.values, dtype=float))
+            validities = [validity(setup, FieldPreparation(prep.mode, n))
+                          for n in request.values]
+            failed = {}
+        else:
+            amplitudes, validities, failed = _rebuilt_amplitudes(spec)
+        eta, visibility, branch_failed = eta_rows(amplitudes)
+        failed.update(branch_failed)
+        columns = [eta.real, visibility, validities]
+    columns = [np.asarray(column).tolist() for column in columns]
+    blanks = [math.nan] * len(columns)
+    rows = [
+        [*key, *blanks, f"error: {failed[row]}"] if row in failed
+        else [*key, *(column[row] for column in columns), "ok"]
+        for row, key in enumerate(keys)
+    ]
+    return header, rows, comps.report
 
 
 def _json_safe(value):

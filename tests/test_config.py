@@ -1,7 +1,11 @@
+import warnings
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockprobe import ConfigError, parse_config, resolve_mapping
-from fockprobe.config import read_config_text
+from fockprobe.config import KNOWN_KEYS, read_config_text
 
 
 MINIMAL = """
@@ -147,3 +151,50 @@ def test_scaled_configs_agree_on_dimensionless_output():
         gamma_a = eta_phase(natural.setup, natural.prep, natural.policy).gamma
         gamma_b = eta_phase(si.setup, si.prep, si.policy).gamma
     assert gamma_a == pytest.approx(gamma_b, rel=1e-9)
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("field.photons", 2.5, "not an integer"),
+    ("field.photons", float("inf"), "not finite"),
+    ("field.photons", float("nan"), "not finite"),
+    ("truncation.max_mode", 10000.5, "not an integer"),
+    ("sweep.m_values", (1.0, float("inf")), "not finite"),
+    ("units.mode", 5, "not a string"),
+])
+def test_python_values_get_the_checks_of_config_text(key, value, reason):
+    mapping = {"cavity.length": 1e-6, "field.mode": 2, "field.photons": 1, key: value}
+    with pytest.raises(ConfigError, match=f"bad value for {key}: .*{reason}"):
+        resolve_mapping(mapping)
+
+
+NUMERIC_KEYS = sorted(key for key, (kind, _) in KNOWN_KEYS.items() if kind in ("int", "float"))
+SWEEP_BASE = {
+    "cavity.length": 1e-6, "atom.speed": 1000.0, "field.mode": 2, "field.photons": 1,
+    "sweep.variable": "n", "sweep.start": 0.0, "sweep.stop": 4.0, "sweep.step": 1.0,
+}
+
+
+def _resolve_or_error(mapping):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return resolve_mapping(mapping)
+        except ConfigError as exc:
+            return exc
+
+
+@settings(deadline=None)
+@given(key=st.sampled_from(NUMERIC_KEYS),
+       value=st.one_of(st.integers(), st.floats(), st.sampled_from([0, 1, 2, 3, 1e-5, 1e4])))
+def test_text_and_number_resolve_alike(key, value):
+    as_number = _resolve_or_error({**SWEEP_BASE, key: value})
+    as_text = _resolve_or_error({**SWEEP_BASE, key: repr(value)})
+    if isinstance(as_number, ConfigError) or isinstance(as_text, ConfigError):
+        assert type(as_number) is type(as_text) is ConfigError
+        if str(as_text).startswith("bad value"):
+            # the message quotes the raw value, which differs between the two forms
+            assert str(as_number).startswith(f"bad value for {key}: ")
+        else:
+            assert str(as_number) == str(as_text)
+    else:
+        assert as_number == as_text

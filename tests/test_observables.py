@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockprobe import (
     BranchError,
@@ -23,7 +25,7 @@ from fockprobe import (
     transition_probability,
     validity,
 )
-from fockprobe.observables import _eta_from_amplitude
+from fockprobe.observables import _eta_from_amplitude, delta_gamma_rows
 
 
 def natural(alpha=2, ratio=1e-4, speed=1e-3):
@@ -110,6 +112,26 @@ def test_delta_gamma_exact_identities():
     assert abs(d12 - split) < 1e-12
     with pytest.raises(ParameterError):
         delta_gamma_exact(setup, 2, -1, 1)
+
+
+@pytest.fixture(scope="module")
+def optical_components():
+    import warnings
+
+    setup = optical()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ProbeWarning)
+        return setup, phase_components(setup, 2)
+
+
+@settings(deadline=None)
+@given(n=st.integers(0, 5000), m1=st.integers(0, 3000), m2=st.integers(0, 3000))
+def test_delta_gamma_is_additive(optical_components, n, m1, m2):
+    setup, comps = optical_components
+    (whole, first, second), failed = delta_gamma_rows(comps, setup, [n, n, n + m1],
+                                                      [m1 + m2, m1, m2])
+    assert failed == {}
+    assert abs(whole - (first + second)) <= 1e-12 * abs(whole)
 
 
 def test_delta_gamma_matches_linear_estimate():

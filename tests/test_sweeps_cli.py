@@ -1,10 +1,22 @@
+import cmath
 import csv
 import json
+import math
+import warnings
 from pathlib import Path
 
 import pytest
 
-from fockprobe import resolve_mapping, run_sweep, spec_from_config
+from fockprobe import (
+    phase_components,
+    prepare_field,
+    resolution_curve,
+    resolve_mapping,
+    run_sweep,
+    spec_from_config,
+    survival_amplitude,
+    validity,
+)
 from fockprobe.cli import main
 from fockprobe.config import MAX_SWEEP_ROWS, ConfigError
 
@@ -306,6 +318,16 @@ def test_cli_rejects_unbounded_input(tmp_path, capsys, lines):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("variable", ["m", "delta"])
+def test_sweep_with_negative_fixed_n_is_a_configuration_error(tmp_path, capsys, variable):
+    cfg = write_config(tmp_path, {**OPTICAL_LINES, "sweep.variable": variable,
+                                  "sweep.values": "0, 1", "sweep.fixed_n": "-1"})
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
 def test_sweep_row_cap_boundary():
     mapping = {**small_sweep_mapping(), "sweep.stop": MAX_SWEEP_ROWS - 1}
     assert len(resolve_mapping(mapping).sweep.values) == MAX_SWEEP_ROWS
@@ -322,3 +344,101 @@ def test_cli_sweep_preset(tmp_path):
     assert rows[0] == ["n", "m", "delta_gamma", "status"]
     assert len(rows) == 1 + 101 * 4
     assert Path(str(out) + ".manifest.json").exists()
+
+
+
+# Detuned microcavity whose amplitude leaves the half-plane Re A > 0 in about
+# half of the rows n = 0..3000.
+DETUNED = {**OPTICAL_LINES, "field.photons": 0, "field.detuning": 3e6}
+DETUNED_GRID = {"sweep.start": 0, "sweep.stop": 3000, "sweep.step": 10}
+
+
+def _scalar_amplitude(setup):
+    """A(n) with Python complex arithmetic, and the warnings its mode sum raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        comps = phase_components(setup, 2)
+    return (lambda n: survival_amplitude(comps, setup, n)), [str(w.message) for w in caught]
+
+
+def _branch_message(amplitude, consequence):
+    return f"survival amplitude {amplitude:.6g} has non-positive real part; {consequence}"
+
+
+def _reference_delta_gamma(amplitude, n, m):
+    """(message or None, delta_gamma) from cmath and Python complex division."""
+    if m == 0:
+        return None, 0.0
+    for amp in (amplitude(n + m), amplitude(n)):
+        if amp.real <= 0.0:
+            return _branch_message(amp, "phase difference is branch-ambiguous"), None
+    return None, cmath.phase(amplitude(n + m) / amplitude(n))
+
+
+def _within_ulps(cell, reference, ulps):
+    return abs(float(cell) - reference) <= ulps * math.ulp(reference)
+
+
+@pytest.mark.parametrize("sweep", [
+    {"sweep.variable": "n", **DETUNED_GRID},
+    {"sweep.variable": "n", **DETUNED_GRID, "sweep.observable": "resolution",
+     "sweep.m_values": "1, 300"},
+    {"sweep.variable": "m", **DETUNED_GRID},
+])
+def test_branch_crossing_rows_match_scalar_reference(tmp_path, sweep):
+    resolved = resolve_mapping({**DETUNED, **sweep})
+    amplitude, expected_warnings = _scalar_amplitude(resolved.setup)
+    csv_path, manifest_path = run_sweep(spec_from_config(resolved, tmp_path / "out.csv"),
+                                        quiet=True)
+    header, *rows = csv.reader(open(csv_path))
+    failed = 0
+    for row in rows:
+        cells = dict(zip(header, row))
+        n = int(cells.get("n", resolved.sweep.fixed_n))
+        if "gamma" in cells:
+            amp = amplitude(n)
+            message = None
+            if amp.real <= 0.0:
+                message = _branch_message(amp, "principal-branch phase extraction is ambiguous")
+            else:
+                eta = -1j * cmath.log(amp)
+                assert float(cells["gamma"]) == eta.real
+                assert _within_ulps(cells["visibility"], math.exp(-abs(eta.imag)), 2)
+                assert float(cells["validity"]) == validity(
+                    resolved.setup, prepare_field(resolved.setup, 2, n))
+                if abs(eta) > math.pi / 2:
+                    expected_warnings.append(f"|eta| = {abs(eta):.3g} inside "
+                                             "principal-branch ambiguity zone (> pi/2)")
+        else:
+            message, reference = _reference_delta_gamma(amplitude, n, int(cells["m"]))
+            if message is None:
+                assert _within_ulps(cells["delta_gamma"], reference, 2)
+        if message is None:
+            assert cells["status"] == "ok"
+        else:
+            failed += 1
+            assert cells["status"] == f"error: {message}"
+            assert {cells[c] for c in header if c not in ("n", "m", "status")} == {"nan"}
+    assert 0.4 * len(rows) < failed < 0.6 * len(rows)
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["warnings"] == list(dict.fromkeys(expected_warnings))
+
+
+def test_resolution_curve_marks_branch_crossing_rows():
+    resolved = resolve_mapping(DETUNED)
+    amplitude, _ = _scalar_amplitude(resolved.setup)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = resolution_curve(resolved.setup, 2, [1, 300], range(0, 3001, 10))
+    row_warnings = [str(w.message) for w in caught if str(w.message).startswith("row ")]
+    expected_warnings = []
+    for n, m, delta_gamma in rows:
+        message, reference = _reference_delta_gamma(amplitude, n, m)
+        if message is None:
+            assert _within_ulps(delta_gamma, reference, 2)
+        else:
+            assert math.isnan(delta_gamma)
+            expected_warnings.append(f"row (n={n}, m={m}): {message}")
+    assert [(n, m) for n, m, _ in rows] == [(n, m) for n in range(0, 3001, 10) for m in (1, 300)]
+    assert row_warnings == expected_warnings
+    assert 0.4 * len(rows) < len(expected_warnings) < 0.6 * len(rows)
