@@ -64,7 +64,7 @@ from .oracle import (
     default_truncation,
     evolve,
 )
-from .sweeps import PRESETS, SweepSpec, preset_spec, run_sweep, spec_from_config
+from .sweeps import PRESETS, run_sweep
 
 __all__ = [
     "BranchError",
@@ -81,7 +81,6 @@ __all__ = [
     "ProbeWarning",
     "ResolvedConfig",
     "SPEED_OF_LIGHT",
-    "SweepSpec",
     "TransitionBreakdown",
     "TruncationPolicy",
     "TruncationReport",
@@ -103,14 +102,12 @@ __all__ = [
     "parse_config",
     "phase_components",
     "prepare_field",
-    "preset_spec",
     "probe_outcome",
     "resolve_mapping",
     "resolution_curve",
     "resolution_threshold",
     "resonant_gap",
     "run_sweep",
-    "spec_from_config",
     "survival_amplitude",
     "transition_probability",
     "validity",

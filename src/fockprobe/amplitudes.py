@@ -101,6 +101,28 @@ def x_closed(setup: ProbeSetup, beta: int, sign: int) -> complex:
     return complex(_closed_array(setup, np.array([beta]), sign)[0])
 
 
+def _fourier_quad(envelope, a, quad_tol, limit, maxp1):
+    """Integral_0^1 exp(i a x) envelope(x) dx by QUADPACK; returns (value, error).
+
+    Re and Im are each asked for ``quad_tol / 2`` and ``error`` is the sum of
+    their estimates.  Below |a| = 1e-6 the cos/sin factor is integrated with
+    the envelope, above it QUADPACK's weighted rule takes it; a < 0 follows
+    by conjugation.
+    """
+    aa = abs(a)
+    # full_output suppresses QUADPACK chatter; the callers check the error
+    if aa < 1e-6:
+        parts = [quad(lambda x, trig=trig: trig(aa * x) * envelope(x), 0.0, 1.0,
+                      epsabs=1e-14, epsrel=quad_tol / 2, limit=limit, full_output=1)
+                 for trig in (np.cos, np.sin)]
+    else:
+        parts = [quad(envelope, 0.0, 1.0, weight=weight, wvar=aa, epsabs=1e-16,
+                      epsrel=quad_tol / 2, limit=limit, maxp1=maxp1, full_output=1)
+                 for weight in ("cos", "sin")]
+    (re, ere), (im, eim) = (part[:2] for part in parts)
+    return complex(re, -im if a < 0 else im), ere + eim
+
+
 def x_quadrature(
     setup: ProbeSetup,
     beta: int,
@@ -120,29 +142,9 @@ def x_quadrature(
         raise ParameterError(f"quad_tol must be positive, got {quad_tol}")
     a, b = _transit_phases(setup, beta, sign)
     T = setup.crossing_time
-
-    envelope = lambda x: np.sin(b * x)
-    if abs(a) < 1e-6:
-        # full_output suppresses QUADPACK chatter; the error check below is ours
-        re_res = quad(lambda x: np.cos(a * x) * envelope(x), 0.0, 1.0,
-                      epsabs=1e-14, epsrel=quad_tol / 2, limit=max_intervals,
-                      full_output=1)
-        im_res = quad(lambda x: np.sin(a * x) * envelope(x), 0.0, 1.0,
-                      epsabs=1e-14, epsrel=quad_tol / 2, limit=max_intervals,
-                      full_output=1)
-        (re, ere), (im, eim) = re_res[:2], im_res[:2]
-    else:
-        re_res = quad(envelope, 0.0, 1.0, weight="cos", wvar=abs(a),
-                      epsabs=1e-16, epsrel=quad_tol / 2, limit=max_intervals,
-                      maxp1=100, full_output=1)
-        im_res = quad(envelope, 0.0, 1.0, weight="sin", wvar=abs(a),
-                      epsabs=1e-16, epsrel=quad_tol / 2, limit=max_intervals,
-                      maxp1=100, full_output=1)
-        (re, ere), (im, eim) = re_res[:2], im_res[:2]
-        if a < 0:
-            im = -im
-    value = T * (re + 1j * im) / np.sqrt(b)
-    err = T * (ere + eim) / np.sqrt(b)
+    integral, err = _fourier_quad(lambda x: np.sin(b * x), a, quad_tol, max_intervals, 100)
+    value = T * integral / np.sqrt(b)
+    err = T * err / np.sqrt(b)
     bound = quad_tol * max(abs(value), T)
     if err > bound:
         raise ConvergenceError(

@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Every data-producing subcommand reads a config file (see configs/ for
-samples), writes CSV to --output (or stdout), and -- when writing to a file --
-drops a JSON manifest next to it recording the resolved configuration and all
-warnings.  The warnings also go to stderr unless --quiet is given.  Exit
-codes: 0 success, 1 configuration error, 2 numerical failure, 3 validity-guard
-violation.
+Every subcommand reads a config file (see configs/ for samples; ``sweep``
+also takes a --preset), writes CSV to --output (or stdout), and -- when
+writing to a file -- drops a JSON manifest next to it recording the resolved
+configuration and all warnings.  The warnings also go to stderr unless
+--quiet is given.  ``main`` resolves the configuration and applies the
+validity guard once, at the largest photon number the subcommand evaluates,
+before handing both to the subcommand.  Exit codes: 0 success, 1
+configuration error, 2 numerical failure, 3 validity-guard violation.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from pathlib import Path
 
 from . import __version__
 from .amplitudes import ConvergenceError, x_closed, x_quadrature
-from .config import ConfigError, parse_config
+from .config import MAX_SWEEP_ROWS, ConfigError, parse_config, resolve_mapping
 from .kernels import c_closed, c_quadrature, mode_sum_offres
 from .model import ParameterError, prepare_field
 from .observables import (
     BranchError,
+    _validity,
+    _warn_validity,
     classify_validity,
     eta_phase,
     fringe,
@@ -30,10 +34,9 @@ from .observables import (
     resolution_curve,
     resolution_threshold,
     transition_probability,
-    validity,
 )
 from .oracle import convergence_scan, default_truncation, evolve
-from .sweeps import preset_spec, run_sweep, spec_from_config, write_outputs
+from .sweeps import PRESETS, run_sweep, write_outputs
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -116,12 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_config(args):
-    if args.config is None:
-        raise ConfigError("this command needs --config")
-    return parse_config(args.config)
-
-
 def _messages(caught):
     return sorted({str(w.message) for w in caught})
 
@@ -130,18 +127,54 @@ def _signs(flag: str):
     return {"+": [+1], "-": [-1], "both": [+1, -1]}[flag]
 
 
-def _guard_validity(args, setup, prep):
-    value = validity(setup, prep)
-    if classify_validity(value) == "invalid" and not args.force:
+def _resolution_grid(args):
+    """The photon differences and the n grid of ``resolution``."""
+    if args.n_step < 1:
+        raise ConfigError(f"--n-step must be positive, got {args.n_step}")
+    m_list = sorted(set(args.m)) if args.m else [1]
+    n_range = range(0, args.n_max + 1, args.n_step)
+    if len(n_range) * len(m_list) > MAX_SWEEP_ROWS:
+        raise ConfigError(
+            f"resolution grid has more than MAX_SWEEP_ROWS = {MAX_SWEEP_ROWS} rows"
+        )
+    return m_list, n_range
+
+
+def _largest_photons(args, resolved):
+    """Largest photon number the subcommand evaluates; None when it evaluates none."""
+    if args.command in ("amplitudes", "kernels"):
+        return None
+    if args.command == "resolution":
+        m_list, n_range = _resolution_grid(args)
+        return max(n_range, default=0) + max(m_list)
+    if args.command == "fringe":
+        return max(resolved.prep.photons, args.unknown_photons)
+    if args.command == "sweep" and resolved.sweep is not None:
+        return resolved.sweep.largest_photons
+    return resolved.prep.photons
+
+
+def _guard_validity(args, resolved):
+    """Exit 3 when the estimator at the largest photon number is invalid, unless --force.
+
+    A forced run records the estimator as a warning.
+    """
+    photons = _largest_photons(args, resolved)
+    if photons is None:
+        return
+    value = _validity(resolved.setup, photons)
+    if classify_validity(value) != "invalid":
+        return
+    if not args.force:
         sys.stderr.write(
             f"validity estimator {value:.3g} >= 1: perturbative output untrusted "
             "(rerun with --force to proceed)\n"
         )
         raise SystemExit(EXIT_VALIDITY)
+    _warn_validity(value)
 
 
-def _cmd_amplitudes(args, caught) -> int:
-    resolved = _require_config(args)
+def _cmd_amplitudes(args, resolved, caught) -> int:
     header = ["beta", "sign", "re_closed", "im_closed", "re_quad", "im_quad", "abs_err"]
     rows = []
     for beta in sorted(set(args.mode)):
@@ -158,8 +191,7 @@ def _cmd_amplitudes(args, caught) -> int:
     return EXIT_OK
 
 
-def _cmd_kernels(args, caught) -> int:
-    resolved = _require_config(args)
+def _cmd_kernels(args, resolved, caught) -> int:
     header = ["beta", "sign", "re_closed", "im_closed", "re_quad", "im_quad"]
     rows = []
     for beta in sorted(set(args.mode)):
@@ -185,9 +217,7 @@ def _cmd_kernels(args, caught) -> int:
     return EXIT_OK
 
 
-def _cmd_transition(args, caught) -> int:
-    resolved = _require_config(args)
-    _guard_validity(args, resolved.setup, resolved.prep)
+def _cmd_transition(args, resolved, caught) -> int:
     breakdown = transition_probability(resolved.setup, resolved.prep, resolved.policy)
     header = ["p_excite", "rotating", "counter_rotating", "vacuum"]
     rows = [[breakdown.total, breakdown.rotating, breakdown.counter_rotating,
@@ -197,9 +227,7 @@ def _cmd_transition(args, caught) -> int:
     return EXIT_OK
 
 
-def _cmd_phase(args, caught) -> int:
-    resolved = _require_config(args)
-    _guard_validity(args, resolved.setup, resolved.prep)
+def _cmd_phase(args, resolved, caught) -> int:
     outcome = probe_outcome(resolved.setup, resolved.prep, resolved.policy)
     header = ["p_excite", "gamma", "visibility", "validity"]
     rows = [[outcome.p_excite, outcome.gamma, outcome.visibility, outcome.validity]]
@@ -208,11 +236,8 @@ def _cmd_phase(args, caught) -> int:
     return EXIT_OK
 
 
-def _cmd_resolution(args, caught) -> int:
-    resolved = _require_config(args)
-    _guard_validity(args, resolved.setup, resolved.prep)
-    m_list = sorted(set(args.m)) if args.m else [1]
-    n_range = range(0, args.n_max + 1, args.n_step)
+def _cmd_resolution(args, resolved, caught) -> int:
+    m_list, n_range = _resolution_grid(args)
     rows = resolution_curve(resolved.setup, resolved.prep.mode, m_list, n_range,
                             resolved.policy)
     threshold = resolution_threshold(resolved.setup, resolved.prep.mode,
@@ -229,9 +254,7 @@ def _cmd_resolution(args, caught) -> int:
     return EXIT_OK
 
 
-def _cmd_fringe(args, caught) -> int:
-    resolved = _require_config(args)
-    _guard_validity(args, resolved.setup, resolved.prep)
+def _cmd_fringe(args, resolved, caught) -> int:
     unknown = prepare_field(resolved.setup, resolved.prep.mode, args.unknown_photons)
     phis = args.phi if args.phi else [0.0]
     header = ["phi", "p_plus", "p_minus"]
@@ -245,9 +268,7 @@ def _cmd_fringe(args, caught) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, caught) -> int:
-    resolved = _require_config(args)
-    _guard_validity(args, resolved.setup, resolved.prep)
+def _cmd_verify(args, resolved, caught) -> int:
     setup, prep, policy = resolved.setup, resolved.prep, resolved.policy
     if args.scan:
         rows_dicts, converged = convergence_scan(setup, prep, args.scan,
@@ -302,20 +323,11 @@ def _cmd_verify(args, caught) -> int:
     return EXIT_OK if summary.startswith("PASS") else EXIT_NUMERIC
 
 
-def _cmd_sweep(args, caught) -> int:
-    if args.preset:
-        if args.output is None:
-            raise ConfigError("sweep needs --output")
-        spec = preset_spec(args.preset, args.output)
-    else:
-        resolved = _require_config(args)
-        if args.output is None:
-            raise ConfigError("sweep needs --output")
-        spec = spec_from_config(resolved, args.output)
-    _guard_validity(args, spec.setup, spec.prep)
+def _cmd_sweep(args, resolved, caught) -> int:
     started = time.monotonic()
-    csv_path, manifest_path = run_sweep(spec, quiet=args.quiet, messages=_messages(caught))
-    if not args.quiet:
+    csv_path, manifest_path = run_sweep(resolved, args.output, quiet=args.quiet,
+                                        messages=_messages(caught))
+    if manifest_path is not None and not args.quiet:
         sys.stderr.write(
             f"wrote {csv_path} and {manifest_path.name} in "
             f"{time.monotonic() - started:.2f}s\n"
@@ -347,7 +359,14 @@ def main(argv=None) -> int:
         # reaches the manifest and --quiet silences all of them
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            return _HANDLERS[args.command](args, caught)
+            if getattr(args, "preset", None):
+                resolved = resolve_mapping(PRESETS[args.preset])
+            elif args.config is not None:
+                resolved = parse_config(args.config)
+            else:
+                raise ConfigError("this command needs --config")
+            _guard_validity(args, resolved)
+            return _HANDLERS[args.command](args, resolved, caught)
     except (ConfigError, ParameterError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG

@@ -68,6 +68,16 @@ class SweepRequest:
     m_values: tuple
     fixed_n: int
 
+    @property
+    def largest_photons(self) -> int:
+        """Largest photon number any row evaluates."""
+        if self.variable == "n":
+            differences = self.m_values if self.observable == "resolution" else (0,)
+            return max(self.values) + max(differences)
+        if self.variable == "m":
+            return self.fixed_n + max(self.values)
+        return self.fixed_n
+
 
 @dataclass(frozen=True)
 class ResolvedConfig:
@@ -227,6 +237,9 @@ def _resolve_sweep(mapping, defaults, prep) -> SweepRequest | None:
         raise ConfigError(
             f"sweep.variable must be one of {SWEEP_VARIABLES}, got {variable!r}"
         )
+    if variable == "delta" and "atom.gap" in mapping:
+        raise ConfigError("a delta sweep sets field.detuning, which atom.gap excludes; "
+                          "give atom.resonant_with_mode instead")
     observable = mapping.get("sweep.observable")
     if observable is None:
         observable = "phase"
@@ -281,6 +294,8 @@ def _resolve_sweep(mapping, defaults, prep) -> SweepRequest | None:
         fixed_n = prep.photons
         if variable != "n":
             defaults["sweep.fixed_n"] = fixed_n
+    if fixed_n < 0:
+        raise ConfigError(f"sweep.fixed_n must be non-negative, got {fixed_n}")
     return SweepRequest(
         variable=variable,
         values=tuple(values),

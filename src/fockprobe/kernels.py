@@ -26,6 +26,7 @@ from .amplitudes import (
     ConvergenceError,
     _check_mode_sign,
     _closed_array,
+    _fourier_quad,
     _mode_sum,
     _sinc,
     _transit_phases,
@@ -106,26 +107,9 @@ def c_quadrature(
         )
         return val
 
-    aa = abs(a)
-    if aa < 1e-6:
-        re_res = quad(lambda s: np.cos(aa * s) * K(s), 0.0, 1.0,
-                      epsabs=1e-14, epsrel=quad_tol / 2, limit=max_intervals,
-                      full_output=1)
-        im_res = quad(lambda s: np.sin(aa * s) * K(s), 0.0, 1.0,
-                      epsabs=1e-14, epsrel=quad_tol / 2, limit=max_intervals,
-                      full_output=1)
-    else:
-        re_res = quad(K, 0.0, 1.0, weight="cos", wvar=aa, epsabs=1e-16,
-                      epsrel=quad_tol / 2, limit=max_intervals, maxp1=120,
-                      full_output=1)
-        im_res = quad(K, 0.0, 1.0, weight="sin", wvar=aa, epsabs=1e-16,
-                      epsrel=quad_tol / 2, limit=max_intervals, maxp1=120,
-                      full_output=1)
-    (re, ere), (im, eim) = re_res[:2], im_res[:2]
-    value = T * T * (re + 1j * im)
-    err = T * T * (ere + eim)
-    if a < 0:
-        value = np.conj(value)
+    integral, err = _fourier_quad(K, a, quad_tol, max_intervals, 120)
+    value = T * T * integral
+    err = T * T * err
     bound = quad_tol * max(abs(value), T * T * 1e-3)
     if err > bound:
         raise ConvergenceError(

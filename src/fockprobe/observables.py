@@ -52,7 +52,12 @@ def validity(setup: ProbeSetup, prep: FieldPreparation) -> float:
     Quoted with the transit time in the setup's own units; classification via
     :func:`classify_validity`.  Zero coupling or zero photons give 0.
     """
-    return setup.coupling_ratio * prep.photons * setup.crossing_time
+    return _validity(setup, prep.photons)
+
+
+def _validity(setup: ProbeSetup, photons):
+    # photons may be an array: one operation order for scalar and column
+    return setup.coupling_ratio * photons * setup.crossing_time
 
 
 def classify_validity(value: float) -> str:
@@ -199,14 +204,6 @@ def eta_rows(amplitudes):
     return eta, np.exp(-np.abs(eta.imag)), failed
 
 
-def _eta_from_amplitude(amplitude: complex):
-    eta, visibility, failed = eta_rows([amplitude])
-    if failed:
-        raise BranchError(failed[0])
-    eta = complex(eta[0])
-    return eta, eta.real, float(visibility[0])
-
-
 @dataclass(frozen=True)
 class EtaPhase:
     """Complex eta with its derived phase and visibility."""
@@ -231,8 +228,11 @@ def eta_phase(
     """
     comps = phase_components(setup, prep.mode, policy, modes)
     amplitude = survival_amplitude(comps, setup, prep.photons)
-    eta, gamma, vis = _eta_from_amplitude(amplitude)
-    return EtaPhase(eta, gamma, vis, amplitude, comps.report)
+    eta, visibility, failed = eta_rows([amplitude])
+    if failed:
+        raise BranchError(failed[0])
+    eta = complex(eta[0])
+    return EtaPhase(eta, eta.real, float(visibility[0]), amplitude, comps.report)
 
 
 @dataclass(frozen=True)
@@ -398,23 +398,22 @@ def fringe(
     """Balanced two-port interferometer outputs for the two cavity arms.
 
     P+- = (1 +- V cos(dgamma + phi)) / 2 with V the product of the arm
-    visibilities and dgamma = gamma(unknown) - gamma(known).  The pair always
-    sums to 1.
+    visibilities and dgamma = gamma(unknown) - gamma(known), taken as
+    arg(A_unknown / A_known): exact, since the branch guard keeps both phases
+    in (-pi/2, pi/2).  The pair always sums to 1.
     """
-    for prep in (prep_known, prep_unknown):
+    preps = (prep_known, prep_unknown)
+    for prep in preps:
         _warn_validity(validity(setup, prep))
-    if prep_known.mode == prep_unknown.mode:
-        comps = phase_components(setup, prep_known.mode, policy)
-        a_known = survival_amplitude(comps, setup, prep_known.photons)
-        a_unknown = survival_amplitude(comps, setup, prep_unknown.photons)
-        _, _, vis_known = _eta_from_amplitude(a_known)
-        _, _, vis_unknown = _eta_from_amplitude(a_unknown)
-        dgamma = float(np.angle(a_unknown / a_known))
-    else:
-        known = eta_phase(setup, prep_known, policy)
-        unknown = eta_phase(setup, prep_unknown, policy)
-        vis_known, vis_unknown = known.visibility, unknown.visibility
-        dgamma = unknown.gamma - known.gamma
+    comps = {mode: phase_components(setup, mode, policy)
+             for mode in dict.fromkeys(prep.mode for prep in preps)}
+    a_known, a_unknown = (survival_amplitude(comps[prep.mode], setup, prep.photons)
+                          for prep in preps)
+    _, visibility, failed = eta_rows([a_known, a_unknown])
+    if failed:
+        raise BranchError(next(iter(failed.values())))
+    dgamma = float(np.angle(a_unknown / a_known))
+    vis_known, vis_unknown = visibility.tolist()
     contrast = vis_known * vis_unknown
     p_plus = 0.5 * (1.0 + contrast * math.cos(dgamma + reference_phase))
     p_minus = 1.0 - p_plus

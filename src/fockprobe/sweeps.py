@@ -5,9 +5,11 @@ speed, or coupling ratio) and emits a CSV plus a JSON manifest recording the
 fully resolved configuration, the truncation behaviour, and every warning
 raised along the way.  Each column is one array, through
 ``observables.eta_rows`` or ``observables.delta_gamma_rows``; only detuning,
-speed and coupling-ratio rows need a setup and a mode sum each.  Identical
-configurations produce byte-identical files; a failed row gets NaN cells and
-an ``error: ...`` status instead of aborting the run.
+speed and coupling-ratio rows need a setup and a mode sum each, which they
+get by re-resolving the configuration at their point through
+``config.resolve_mapping``.  Identical configurations produce byte-identical
+files; a failed row gets NaN cells and an ``error: ...`` status instead of
+aborting the run.  A preset is run as ``resolve_mapping(PRESETS[name])``.
 """
 
 from __future__ import annotations
@@ -18,15 +20,13 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .amplitudes import ConvergenceError
-from .config import ResolvedConfig, SweepRequest, resolve_mapping
-from .model import FieldPreparation, ParameterError, ProbeSetup, build_setup
+from .config import ConfigError, ResolvedConfig, resolve_mapping
 from .observables import (
+    _validity,
     classify_validity,
     delta_gamma_rows,
     eta_rows,
@@ -35,32 +35,9 @@ from .observables import (
     validity,
 )
 
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A resolved sweep plus its destination."""
-
-    request: SweepRequest
-    setup: ProbeSetup
-    prep: FieldPreparation
-    policy: object
-    output: Path
-    resolved: dict
-    defaults_applied: dict
-
-
-def spec_from_config(resolved: ResolvedConfig, output) -> SweepSpec:
-    if resolved.sweep is None:
-        raise ParameterError("configuration defines no sweep.* keys")
-    return SweepSpec(
-        request=resolved.sweep,
-        setup=resolved.setup,
-        prep=resolved.prep,
-        policy=resolved.policy,
-        output=Path(output),
-        resolved=resolved.resolved,
-        defaults_applied=resolved.defaults_applied,
-    )
+# the config key each rebuilt sweep variable sets
+_SWEPT_KEYS = {"delta": "field.detuning", "speed": "atom.speed",
+               "coupling_ratio": "atom.coupling_ratio"}
 
 
 def _fmt(value) -> str:
@@ -71,46 +48,44 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _rebuilt_amplitudes(spec: SweepSpec):
+def _rebuilt_amplitudes(resolved: ResolvedConfig):
     """A(fixed_n) and validity per row of a delta, speed or coupling_ratio sweep.
 
-    Each row needs its own setup and mode sum.  Returns ``(amplitudes,
-    validities, failed)``: a row whose setup or mode sum fails is NaN in both
-    and ``failed`` maps it to the message.
+    Each row re-resolves the configuration without its sweep.* keys, with the
+    swept key set to the row's value and field.photons to sweep.fixed_n, so a
+    row is the run ``phase`` makes at that point.  Returns ``(amplitudes,
+    validities, failed)``: a row whose configuration fails is NaN in both and
+    ``failed`` maps it to the message.
     """
-    request, setup, prep = spec.request, spec.setup, spec.prep
-    fixed = dict(atom_speed=setup.atom_speed, light_speed=setup.light_speed,
-                 coupling_ratio=setup.coupling_ratio, unit_mode=setup.unit_mode)
-    if request.variable == "delta":
-        fixed["resonant_with_mode"] = prep.mode
-    else:
-        fixed["atom_gap"] = setup.atom_gap
-    axis = {"delta": "detuning", "speed": "atom_speed",
-            "coupling_ratio": "coupling_ratio"}[request.variable]
-    row_prep = FieldPreparation(prep.mode, request.fixed_n)
+    request = resolved.sweep
+    base = {key: value for key, value in resolved.resolved.items()
+            if not key.startswith("sweep.")}
+    base["field.photons"] = request.fixed_n
     amplitudes = np.full(len(request.values), complex(math.nan, math.nan))
     validities = np.full(len(request.values), math.nan)
     failed = {}
     for row, value in enumerate(request.values):
         try:
-            row_setup = build_setup(setup.cavity_length, **{**fixed, axis: float(value)})
-            comps = phase_components(row_setup, prep.mode, spec.policy)
-        except (ParameterError, ConvergenceError) as exc:
+            point = resolve_mapping({**base, _SWEPT_KEYS[request.variable]: value})
+        except ConfigError as exc:
             failed[row] = str(exc)
-        else:
-            amplitudes[row] = survival_amplitude(comps, row_setup, request.fixed_n)
-            validities[row] = validity(row_setup, row_prep)
+            continue
+        comps = phase_components(point.setup, point.prep.mode, point.policy)
+        amplitudes[row] = survival_amplitude(comps, point.setup, point.prep.photons)
+        validities[row] = validity(point.setup, point.prep)
     return amplitudes, validities, failed
 
 
-def compute_rows(spec: SweepSpec):
+def compute_rows(resolved: ResolvedConfig):
     """Evaluate every row as one array per column; failed rows get a status message.
 
     Returns (header, rows, report): ``report`` is the truncation report of the
     phase components at the configured base point, which n and m rows reuse.
     """
-    request, setup, prep = spec.request, spec.setup, spec.prep
-    comps = phase_components(setup, prep.mode, spec.policy)
+    request, setup, prep = resolved.sweep, resolved.setup, resolved.prep
+    if request is None:
+        raise ConfigError("configuration defines no sweep.* keys")
+    comps = phase_components(setup, prep.mode, resolved.policy)
     if request.variable == "m":
         header = ["m", "delta_gamma", "status"]
         keys = [(m,) for m in request.values]
@@ -125,12 +100,12 @@ def compute_rows(spec: SweepSpec):
         header = [request.variable, "gamma", "visibility", "validity", "status"]
         keys = [(value,) for value in request.values]
         if request.variable == "n":
-            amplitudes = survival_amplitude(comps, setup, np.array(request.values, dtype=float))
-            validities = [validity(setup, FieldPreparation(prep.mode, n))
-                          for n in request.values]
+            n = np.array(request.values, dtype=float)
+            amplitudes = survival_amplitude(comps, setup, n)
+            validities = _validity(setup, n)
             failed = {}
         else:
-            amplitudes, validities, failed = _rebuilt_amplitudes(spec)
+            amplitudes, validities, failed = _rebuilt_amplitudes(resolved)
         eta, visibility, branch_failed = eta_rows(amplitudes)
         failed.update(branch_failed)
         columns = [eta.real, visibility, validities]
@@ -150,13 +125,12 @@ def _json_safe(value):
     return value
 
 
-def write_outputs(output, header, rows, config, command, messages=(), extra=None,
-                  quiet=False):
+def write_outputs(output, header, rows, resolved: ResolvedConfig, command, messages=(),
+                  extra=None, quiet=False):
     """Write rows as CSV to ``output`` (stdout when None) and, for a file, a manifest.
 
-    ``config`` is the resolved configuration (a ResolvedConfig or SweepSpec).
     The manifest ``<output>.manifest.json`` holds only reproducible content
-    (resolved configuration, columns, row count, warnings, and ``extra``);
+    (the resolved configuration, columns, row count, warnings, and ``extra``);
     wall-clock timing is left to the caller's log so that identical
     configurations yield byte-identical files.  ``messages`` are deduplicated
     in the order given and, unless ``quiet``, also printed to stderr.
@@ -183,9 +157,9 @@ def write_outputs(output, header, rows, config, command, messages=(), extra=None
         "tool": "fockprobe",
         "version": __version__,
         "command": command,
-        "config": {k: _json_safe(v) for k, v in sorted(config.resolved.items())},
+        "config": {k: _json_safe(v) for k, v in sorted(resolved.resolved.items())},
         "defaults_applied": {k: _json_safe(v)
-                             for k, v in sorted(config.defaults_applied.items())},
+                             for k, v in sorted(resolved.defaults_applied.items())},
         "columns": list(header),
         "row_count": len(rows),
         "warnings": messages,
@@ -198,24 +172,27 @@ def write_outputs(output, header, rows, config, command, messages=(), extra=None
     return manifest_path
 
 
-def run_sweep(spec: SweepSpec, quiet: bool = False, messages=()):
+def run_sweep(resolved: ResolvedConfig, output, quiet: bool = False, messages=()):
     """Compute, then write CSV and manifest; returns (csv_path, manifest_path).
 
+    With ``output`` None the CSV goes to stdout and both paths are None.
     Warnings raised while computing go to the manifest and, unless ``quiet``,
     to stderr, after ``messages`` (warnings raised before the sweep, such as
-    while resolving its configuration).
+    while resolving its configuration).  The manifest's ``validity_class`` is
+    that of the largest photon number any row evaluates.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        header, rows, report = compute_rows(spec)
+        header, rows, report = compute_rows(resolved)
     extra = {
-        "validity_class": classify_validity(validity(spec.setup, spec.prep)),
+        "validity_class": classify_validity(
+            _validity(resolved.setup, resolved.sweep.largest_photons)),
         "truncation": report.as_dict(),
     }
-    manifest_path = write_outputs(spec.output, header, rows, spec, "sweep",
+    manifest_path = write_outputs(output, header, rows, resolved, "sweep",
                                   [*messages, *(str(w.message) for w in caught)],
                                   extra, quiet)
-    return spec.output, manifest_path
+    return (None if output is None else Path(output)), manifest_path
 
 
 # Canned sweeps reproducing the headline curves: phase versus photon number,
@@ -260,11 +237,3 @@ PRESETS = {
     },
 }
 
-
-def preset_spec(name: str, output) -> SweepSpec:
-    """Resolve one of the shipped presets into a runnable sweep."""
-    if name not in PRESETS:
-        raise ParameterError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    mapping = dict(PRESETS[name])
-    resolved = resolve_mapping(mapping)
-    return spec_from_config(resolved, output)

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import random_setup
 from fockprobe import (
+    PRESETS,
     build_setup,
     c_closed,
     c_quadrature,
@@ -23,15 +24,15 @@ from fockprobe import (
     evolve,
     phase_components,
     prepare_field,
+    resolve_mapping,
     run_sweep,
-    preset_spec,
     survival_amplitude,
     transition_probability,
     x_closed,
     x_mod_squared,
     x_quadrature,
 )
-from fockprobe.observables import _eta_from_amplitude
+from fockprobe.observables import eta_rows
 
 
 def _announce(number, text):
@@ -119,12 +120,8 @@ def test_criterion_05_microcavity_probability_and_curve_shapes():
             assert total < 1e-20
         comps = phase_components(setup, 2)
     ns = np.arange(0, 1001, 10)
-    gammas, visses = [], []
-    for n in ns:
-        _, gamma, vis = _eta_from_amplitude(survival_amplitude(comps, setup, int(n)))
-        gammas.append(gamma)
-        visses.append(vis)
-    gammas, visses = np.array(gammas), np.array(visses)
+    eta, visses, _ = eta_rows(survival_amplitude(comps, setup, ns.astype(float)))
+    gammas = eta.real
     assert np.all(np.diff(gammas) > 0) and np.all(np.diff(gammas, 2) < 1e-15)
     assert np.all(visses <= 1.0) and np.all(np.diff(visses) < 1e-15)
     with warnings.catch_warnings():
@@ -237,8 +234,7 @@ def test_criterion_10_sweep_determinism(tmp_path):
     pairs = []
     for tag in ("one", "two"):
         out = tmp_path / f"fig3_{tag}.csv"
-        spec = preset_spec("fig3", out)
-        pairs.append(run_sweep(spec))
+        pairs.append(run_sweep(resolve_mapping(PRESETS["fig3"]), out))
     (csv_a, man_a), (csv_b, man_b) = pairs
     assert csv_a.read_bytes() == csv_b.read_bytes()
     assert man_a.read_bytes() == man_b.read_bytes()

@@ -25,7 +25,7 @@ from fockprobe import (
     transition_probability,
     validity,
 )
-from fockprobe.observables import _eta_from_amplitude, delta_gamma_rows
+from fockprobe.observables import delta_gamma_rows, eta_rows
 
 
 def natural(alpha=2, ratio=1e-4, speed=1e-3):
@@ -92,14 +92,16 @@ def test_eta_small_coupling_linearization():
     # expansion gamma ~ -Im(lambda^2 K)
     n = 6
     amplitude = survival_amplitude(comps, setup, n)
-    eta, gamma, _ = _eta_from_amplitude(amplitude)
+    (eta,), _, _ = eta_rows([amplitude])
+    gamma = eta.real
     assert abs(eta) < 1e-2
     gamma_linear = float(np.imag(amplitude))  # -Im(lambda^2 K) = Im(A)
     assert gamma == pytest.approx(gamma_linear, rel=1e-4)
     # and the generic quadratic bound holds in the moderate regime
     n_big = 200
     amplitude = survival_amplitude(comps, setup, n_big)
-    eta, gamma, _ = _eta_from_amplitude(amplitude)
+    (eta,), _, _ = eta_rows([amplitude])
+    gamma = eta.real
     assert abs(eta) < 0.5
     assert abs(gamma - float(np.imag(amplitude))) <= abs(eta) ** 2
 
@@ -194,13 +196,8 @@ def test_phase_curve_shape_and_visibility():
     setup = optical()
     comps = phase_components(setup, 2)
     ns = np.arange(0, 1001, 10)
-    gammas, visses = [], []
-    for n in ns:
-        eta, gamma, vis = _eta_from_amplitude(survival_amplitude(comps, setup, int(n)))
-        gammas.append(gamma)
-        visses.append(vis)
-    gammas = np.array(gammas)
-    visses = np.array(visses)
+    eta, visses, _ = eta_rows(survival_amplitude(comps, setup, ns.astype(float)))
+    gammas = eta.real
     assert np.all(np.diff(gammas) > 0)          # monotone increasing
     assert np.all(np.diff(gammas, 2) < 1e-15)   # concave
     assert np.all(visses <= 1.0)
@@ -222,11 +219,14 @@ def test_resolution_curve_and_threshold():
 
 
 def test_branch_guard_raises_and_warns():
+    # detuned microcavity whose A(2000) has real part -0.29
+    detuned = build_setup(1e-6, 1000.0, resonant_with_mode=2, detuning=3e6,
+                          coupling_ratio=1e-4)
     with pytest.raises(BranchError):
-        _eta_from_amplitude(-0.25 + 0.1j)
+        eta_phase(detuned, prepare_field(detuned, 2, 2000))
     with pytest.warns(ProbeWarning):
         # arg 1.2 with log-modulus 1.2: |eta| = 1.7 > pi/2 but Re > 0
-        _eta_from_amplitude(cmath.rect(math.exp(1.2), 1.2))
+        eta_rows([cmath.rect(math.exp(1.2), 1.2)])
 
 
 def test_fringe_identities():

@@ -13,7 +13,6 @@ from fockprobe import (
     resolution_curve,
     resolve_mapping,
     run_sweep,
-    spec_from_config,
     survival_amplitude,
     validity,
 )
@@ -54,17 +53,15 @@ OPTICAL_LINES = {
 
 
 def test_sweep_is_deterministic(tmp_path):
-    spec_a = spec_from_config(resolve_mapping(small_sweep_mapping()), tmp_path / "a.csv")
-    spec_b = spec_from_config(resolve_mapping(small_sweep_mapping()), tmp_path / "b.csv")
-    csv_a, man_a = run_sweep(spec_a)
-    csv_b, man_b = run_sweep(spec_b)
+    csv_a, man_a = run_sweep(resolve_mapping(small_sweep_mapping()), tmp_path / "a.csv")
+    csv_b, man_b = run_sweep(resolve_mapping(small_sweep_mapping()), tmp_path / "b.csv")
     assert csv_a.read_bytes() == csv_b.read_bytes()
     assert man_a.read_bytes() == man_b.read_bytes()
 
 
 def test_sweep_rows_and_manifest_content(tmp_path):
-    spec = spec_from_config(resolve_mapping(small_sweep_mapping()), tmp_path / "out.csv")
-    csv_path, manifest_path = run_sweep(spec)
+    csv_path, manifest_path = run_sweep(resolve_mapping(small_sweep_mapping()),
+                                        tmp_path / "out.csv")
     with open(csv_path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["n", "gamma", "visibility", "validity", "status"]
@@ -90,8 +87,7 @@ def test_sweep_isolates_row_failures(tmp_path):
         # last value pushes the gap negative: that row must fail alone
         "sweep.values": "0.0, 0.5, 7.0",
     }
-    spec = spec_from_config(resolve_mapping(mapping), tmp_path / "delta.csv")
-    csv_path, _ = run_sweep(spec)
+    csv_path, _ = run_sweep(resolve_mapping(mapping), tmp_path / "delta.csv")
     with open(csv_path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "delta"
@@ -111,8 +107,7 @@ def test_resolution_sweep_rows(tmp_path):
         "sweep.observable": "resolution",
         "sweep.m_values": "1, 2",
     }
-    spec = spec_from_config(resolve_mapping(mapping), tmp_path / "res.csv")
-    csv_path, _ = run_sweep(spec)
+    csv_path, _ = run_sweep(resolve_mapping(mapping), tmp_path / "res.csv")
     with open(csv_path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["n", "m", "delta_gamma", "status"]
@@ -388,8 +383,7 @@ def _within_ulps(cell, reference, ulps):
 def test_branch_crossing_rows_match_scalar_reference(tmp_path, sweep):
     resolved = resolve_mapping({**DETUNED, **sweep})
     amplitude, expected_warnings = _scalar_amplitude(resolved.setup)
-    csv_path, manifest_path = run_sweep(spec_from_config(resolved, tmp_path / "out.csv"),
-                                        quiet=True)
+    csv_path, manifest_path = run_sweep(resolved, tmp_path / "out.csv", quiet=True)
     header, *rows = csv.reader(open(csv_path))
     failed = 0
     for row in rows:
@@ -442,3 +436,82 @@ def test_resolution_curve_marks_branch_crossing_rows():
     assert [(n, m) for n, m, _ in rows] == [(n, m) for n in range(0, 3001, 10) for m in (1, 300)]
     assert row_warnings == expected_warnings
     assert 0.4 * len(rows) < len(expected_warnings) < 0.6 * len(rows)
+
+
+def test_delta_rows_follow_the_configured_resonance(tmp_path):
+    # the atom is locked to the fourth harmonic while the second is probed
+    base = {**NATURAL_BASE, "atom.resonant_with_mode": "4", "field.photons": "1"}
+    detunings = ["-0.3", "-0.01", "0.0", "0.02", "0.4"]
+    cfg = write_config(tmp_path, {**base, "sweep.variable": "delta",
+                                  "sweep.values": ", ".join(detunings)}, "sweep.cfg")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--output", str(out), "--quiet"]) == 0
+    header, *rows = csv.reader(open(out))
+    assert [row[0] for row in rows] == [str(float(d)) for d in detunings]
+    for detuning, row in zip(detunings, rows):
+        point = write_config(tmp_path, {**base, "field.detuning": detuning}, "point.cfg")
+        phase_out = tmp_path / "phase.csv"
+        assert main(["phase", "--config", str(point), "--output", str(phase_out),
+                     "--quiet"]) == 0
+        phase = dict(zip(*csv.reader(open(phase_out))))
+        cells = dict(zip(header, row))
+        assert cells["status"] == "ok"
+        assert float(cells["gamma"]) == float(phase["gamma"])
+        assert float(cells["validity"]) == float(phase["validity"])
+
+
+def test_delta_sweep_with_atom_gap_is_a_configuration_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**NATURAL_BASE, "atom.gap": "6.5", "field.photons": "1",
+                                  "sweep.variable": "delta", "sweep.values": "0, 0.1"})
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
+def test_sweep_without_output_prints_what_output_writes(tmp_path, capsys):
+    config = Path(__file__).resolve().parents[1] / "configs" / "phase-sweep.cfg"
+    out = tmp_path / "phase.csv"
+    assert main(["sweep", "--config", str(config), "--output", str(out), "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config), "--quiet"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+# Each command evaluates a photon number of 1e20 or more while field.photons
+# is 1; on the microcavity that puts the estimator at 1e7 or more.
+HUGE = str(10**20)
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep"],
+    ["fringe", "--unknown-photons", HUGE],
+    ["resolution", "--n-max", HUGE, "--n-step", str(5 * 10**19)],
+])
+def test_validity_guard_checks_the_largest_photon_number(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {**OPTICAL_LINES, "sweep.variable": "n",
+                                  "sweep.values": f"{HUGE}, {2 * 10**20}, 5"})
+    out = tmp_path / "out.csv"
+    argv = [*command, "--config", str(cfg), "--output", str(out), "--quiet"]
+    assert main(argv) == 3
+    assert "perturbative output untrusted" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--force"]) == 0
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert any(w.startswith("validity estimator") and " is invalid " in w
+               for w in manifest["warnings"])
+    if command == ["sweep"]:
+        assert manifest["validity_class"] == "invalid"
+
+
+@pytest.mark.parametrize("grid", [
+    ["--n-step", "0"],
+    ["--n-step", "-1"],
+    ["--n-max", str(MAX_SWEEP_ROWS), "--m", "1", "--m", "2"],
+])
+def test_cli_resolution_rejects_unusable_grid(tmp_path, capsys, grid):
+    cfg = write_config(tmp_path, OPTICAL_LINES)
+    assert main(["resolution", "--config", str(cfg), *grid]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1
