@@ -5,8 +5,9 @@ also takes a --preset), writes CSV to --output (or stdout), and -- when
 writing to a file -- drops a JSON manifest next to it recording the resolved
 configuration and all warnings.  The warnings also go to stderr unless
 --quiet is given.  ``main`` resolves the configuration and applies the
-validity guard once, at the largest photon number the subcommand evaluates,
-before handing both to the subcommand.  Exit codes: 0 success, 1
+validity guard once, at the largest photon number the subcommand evaluates
+(for a sweep, at the row with the largest estimator), before handing both to
+the subcommand.  Exit codes: 0 success, 1
 configuration error, 2 numerical failure, 3 validity-guard violation.
 """
 
@@ -36,7 +37,7 @@ from .observables import (
     transition_probability,
 )
 from .oracle import convergence_scan, default_truncation, evolve
-from .sweeps import PRESETS, run_sweep, write_outputs
+from .sweeps import PRESETS, largest_validity, run_sweep, write_outputs
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -140,30 +141,33 @@ def _resolution_grid(args):
     return m_list, n_range
 
 
-def _largest_photons(args, resolved):
-    """Largest photon number the subcommand evaluates; None when it evaluates none."""
+def _largest_validity(args, resolved):
+    """Validity estimator at the largest photon number the subcommand evaluates.
+
+    For a sweep it is the largest over all rows (speed and coupling ratio
+    move it too); None when the subcommand evaluates no photon number.
+    """
     if args.command in ("amplitudes", "kernels"):
         return None
+    if args.command == "sweep" and resolved.sweep is not None:
+        return largest_validity(resolved)
     if args.command == "resolution":
         m_list, n_range = _resolution_grid(args)
-        return max(n_range, default=0) + max(m_list)
-    if args.command == "fringe":
-        return max(resolved.prep.photons, args.unknown_photons)
-    if args.command == "sweep" and resolved.sweep is not None:
-        return resolved.sweep.largest_photons
-    return resolved.prep.photons
+        photons = max(n_range, default=0) + max(m_list)
+    elif args.command == "fringe":
+        photons = max(resolved.prep.photons, args.unknown_photons)
+    else:
+        photons = resolved.prep.photons
+    return _validity(resolved.setup, photons)
 
 
 def _guard_validity(args, resolved):
-    """Exit 3 when the estimator at the largest photon number is invalid, unless --force.
+    """Exit 3 when the largest estimator the subcommand evaluates is invalid, unless --force.
 
     A forced run records the estimator as a warning.
     """
-    photons = _largest_photons(args, resolved)
-    if photons is None:
-        return
-    value = _validity(resolved.setup, photons)
-    if classify_validity(value) != "invalid":
+    value = _largest_validity(args, resolved)
+    if value is None or classify_validity(value) != "invalid":
         return
     if not args.force:
         sys.stderr.write(

@@ -16,7 +16,18 @@ the basis (ground, excited) x field it is the block matrix
 
 where F(t) raises the atom.  The weights come from one function and the
 field ladders from one stacked operator, shared by :func:`build_hamiltonian`
-and the right-hand side that :func:`evolve` integrates.
+and the propagator of :func:`evolve`.
+
+:func:`evolve` solves the integral form psi(t) = psi(t0) - i int H psi by
+block Chebyshev-Picard iteration (Clenshaw & Norton, Comput. J. 6, 88 (1963);
+Bai & Junkins, J. Astronaut. Sci. 58, 583 (2011)).  The transit is cut into
+panels of equal length h, each spanning at most 2 * PANEL_PHASE radians of the
+fastest carrier e^{i nu t} in H(t), with nu_max = max|Omega +/- omega_beta| +
+max k_beta v; each panel carries the CHEB_DEGREE + 1 Chebyshev-Lobatto nodes.
+Runs of consecutive panels form a block; one Picard sweep evaluates H psi at
+every node of a block in one batch and integrates it with one spectral
+integration matrix, so the carriers are integrated rather than stepped
+through.
 
 The overlap with the initial state yields a numerically exact eta to compare
 with the second-order closed forms; the mismatch must shrink like lambda^4.
@@ -31,10 +42,11 @@ from __future__ import annotations
 import cmath
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
+from numpy.polynomial import chebyshev
 from scipy import sparse
-from scipy.integrate import solve_ivp
 
 from .amplitudes import ConvergenceError
 from .model import (
@@ -47,9 +59,16 @@ from .observables import _warn_validity, validity
 
 DIMENSION_CAP = 200_000
 
-# Tightest rtol solve_ivp honours: it raises any smaller rtol to this value
-# with only a UserWarning, so a tighter integ_tol cannot be met.
+# Tightest rtol the propagator certifies: the Chebyshev tail of a resolved
+# integrand bottoms out near 2e-15 in rounding, so a smaller bound on it
+# could be met only by luck.
 INTEG_TOL_FLOOR = 100.0 * np.finfo(float).eps
+
+CHEB_DEGREE = 32       # Chebyshev-Lobatto nodes per panel: CHEB_DEGREE + 1
+PANEL_PHASE = 8.0      # half the fastest carrier phase one panel spans
+BLOCK_BYTES = 2 ** 18  # budget of one (nodes x dimension) complex working array
+SWEEP_CAP = 60         # Picard sweeps per block before ConvergenceError
+HALVING_CAP = 4        # panel halvings per block before ConvergenceError
 
 
 class DimensionCapError(ParameterError):
@@ -120,39 +139,69 @@ class _OracleSpace:
     excited; the field index encodes the occupation digits of the modes in
     listed order, last mode fastest.  ``ladders`` is the real
     (2K field_dim, field_dim) stack of a_1^dag..a_K^dag, a_1..a_K on the field
-    space, each a kron of identities with one single-mode ladder.
+    space: a_i^dag takes field index f - s_i to f with factor sqrt(n_i(f)),
+    where s_i is the index stride of mode i and n_i(f) >= 1 its photons in f.
     """
 
     def __init__(self, truncation: HilbertTruncation):
         modes = sorted(truncation.modes)
         self.betas = np.array([b for b, _ in modes])
         self.dims = [nmax + 1 for _, nmax in modes]
-        self.field_dim = int(np.prod(self.dims))
-        self.dim = 2 * self.field_dim
-        raising = [
-            sparse.kron(
-                sparse.kron(sparse.identity(int(np.prod(self.dims[:i]))),
-                            sparse.diags(np.sqrt(np.arange(1.0, d)), -1)),
-                sparse.identity(int(np.prod(self.dims[i + 1:]))),
-            )
-            for i, d in enumerate(self.dims)
-        ]
-        self.ladders = sparse.vstack(raising + [op.T for op in raising], format="csr")
+        self.field_dim = fd = int(np.prod(self.dims))
+        self.dim = 2 * fd
+        count = len(self.dims)
+        index = np.arange(fd)
+        rows, cols, values = [], [], []
+        for i, d in enumerate(self.dims):
+            stride = int(np.prod(self.dims[i + 1:]))
+            photons = index // stride % d
+            raised = index[photons > 0]
+            rows += [i * fd + raised, (count + i) * fd + raised - stride]  # a_i^dag, a_i
+            cols += [raised - stride, raised]
+            values += [np.sqrt(photons[raised])] * 2
+        self.ladders = sparse.csr_matrix(
+            (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(2 * count * fd, fd))
 
     def initial_index(self, prep: FieldPreparation) -> int:
         mi = list(self.betas).index(prep.mode)
         return prep.photons * int(np.prod(self.dims[mi + 1:]))
 
+    def minus_i_h(self, weights, psi, out, work):
+        """Write -i H(t_m) psi_m for a batch of M nodes to ``out`` and return it.
 
-def _coefficients(setup: ProbeSetup, betas, t: float):
-    """Weights w of F(t) = w . (a_1^dag..a_K^dag, a_1..a_K) at time t.
+        ``weights`` is (2K, M), the weights of :func:`_coefficients` at the M
+        times with the 2K axis first; ``psi`` and ``out`` are (M, dim) and
+        ``work`` a complex buffer of at least 2K * field_dim * M.  Uses
+        Sum_j w_j L_j x = ladders^T (w' (x) x), where w' are the weights of
+        ``ladders^T`` = (a_1..a_K, a_1^dag..a_K^dag): one sparse product per
+        half of the state.
+        """
+        fd, count = self.field_dim, len(psi)
+        weighted = work[:weights.size * fd].reshape(len(weights), fd, count)
+        # F psi_g fills the excited half, F^dag psi_e the ground half; F^dag
+        # has the conjugate weights with those of a^dag and a swapped
+        halves = ((psi[:, :fd], out[:, fd:], np.roll(weights, len(self.betas), axis=0)),
+                  (psi[:, fd:], out[:, :fd], np.conj(weights)))
+        for source, target, w in halves:
+            np.multiply(source.T, -1j * w[:, None, :], out=weighted)
+            # real ladders on the real view: (fd, 2M) floats
+            target[...] = (self.ladders.T @ weighted.reshape(-1, count).view(float)
+                           ).view(complex).T
+        return out
 
-    w^(+/-)_beta = lambda sin(k_beta v t) / sqrt(beta pi) e^{i (Omega +/- omega_beta) t}.
+
+def _coefficients(setup: ProbeSetup, betas, t):
+    """Weights w of F(t) = w . (a_1^dag..a_K^dag, a_1..a_K), one row per time in ``t``.
+
+    w^(+/-)_beta = lambda sin(k_beta v t) / sqrt(beta pi) e^{i (Omega +/- omega_beta) t};
+    a scalar ``t`` gives the 2K weights, an array of times a trailing axis of 2K.
     """
+    t = np.asarray(t, dtype=float)[..., None]
     envelopes = setup.coupling / np.sqrt(betas * np.pi) * np.sin(
         setup.wavenumber(betas) * setup.atom_speed * t)
     omegas = setup.mode_frequency(betas)
-    return np.concatenate((envelopes, envelopes)) * np.exp(
+    return np.concatenate((envelopes, envelopes), axis=-1) * np.exp(
         1j * (setup.atom_gap + np.concatenate((omegas, -omegas))) * t)
 
 
@@ -169,9 +218,120 @@ def _check_integ_tol(integ_tol: float, label: str = "integ_tol") -> None:
     if not INTEG_TOL_FLOOR <= integ_tol < np.inf:
         raise ConvergenceError(
             f"{label} {integ_tol:.3g} is unusable: it must be finite and at "
-            f"least {INTEG_TOL_FLOOR:.3g}, the tightest rtol the integrator "
-            f"honours (100 x machine epsilon)"
+            f"least {INTEG_TOL_FLOOR:.3g}, the tightest rtol the propagator "
+            f"certifies (100 x machine epsilon)"
         )
+
+
+@cache
+def _chebyshev_panel(degree: int):
+    """Lobatto nodes x on [-1, 1], the matrix S with int_{-1}^{x_i} f = Sum_j S_ij f(x_j)
+    for the interpolant of degree ``degree``, and the rows giving its last two
+    Chebyshev coefficients; built once per process, on first use."""
+    nodes = np.sin(np.pi * np.arange(-degree, degree + 1, 2) / (2 * degree))
+    to_coefficients = np.linalg.inv(chebyshev.chebvander(nodes, degree))
+    antiderivatives = chebyshev.chebint(np.eye(degree + 1), lbnd=-1)
+    integrate = chebyshev.chebval(nodes, antiderivatives).T @ to_coefficients
+    integrate[0] = 0.0  # the panel's left end
+    return nodes, integrate, to_coefficients[-2:]
+
+
+class _PicardPropagator:
+    """Block Chebyshev-Picard transit of one truncated space from 0 to T.
+
+    A block holds as many panels as fit BLOCK_BYTES per working array and keep
+    block length * ||H|| <= 1/2, and at least one.  The working arrays are
+    allocated once and reused by every sweep: faulting in fresh pages for
+    each sweep cost more than the sweep's arithmetic.
+    """
+
+    def __init__(self, space: _OracleSpace, setup: ProbeSetup, integ_tol: float):
+        self.space, self.setup, self.integ_tol = space, setup, integ_tol
+        self.nodes, self.integrate, self.tail = _chebyshev_panel(CHEB_DEGREE)
+        omegas = setup.mode_frequency(space.betas)
+        nu_max = (np.max(np.abs(setup.atom_gap + np.concatenate((omegas, -omegas))))
+                  + np.max(setup.wavenumber(space.betas)) * setup.atom_speed)
+        self.panel_count = int(np.ceil(setup.crossing_time * nu_max / (2.0 * PANEL_PHASE)))
+        # ||H(t)|| = ||F(t)|| <= Sum_j |w_j| ||L_j||, |w_j| <= lambda / sqrt(beta pi), ||a|| = sqrt(cap)
+        caps = np.array(space.dims) - 1
+        self.norm = 2.0 * setup.coupling * np.sum(np.sqrt(caps / (space.betas * np.pi)))
+        nodes = len(self.nodes)
+        self.budget = max(1, BLOCK_BYTES // (nodes * space.dim * 16))
+        size = nodes * self.budget * space.dim
+        self.shift, self.moved, self.rates = (np.empty(size, dtype=complex) for _ in range(3))
+        self.work = np.empty(size * len(space.betas), dtype=complex)
+        self.steps = 0         # panels accepted
+        self.evaluations = 0   # node evaluations of H psi, rejected blocks included
+
+    def run(self, psi0):
+        h = self.setup.crossing_time / self.panel_count
+        return self._march(psi0, 0.0, h, self.panel_count, 0)
+
+    def _march(self, psi, start, h, panels, halvings):
+        if self.budget * h * self.norm <= 0.5:
+            per_block = self.budget
+        else:
+            per_block = max(1, int(0.5 / (h * self.norm)))
+        for first in range(0, panels, per_block):
+            count = min(per_block, panels - first)
+            begin = start + first * h
+            end = self._block(psi, begin, h, count)
+            if end is not None:
+                self.steps += count
+                psi = end
+            elif halvings < HALVING_CAP:
+                psi = self._march(psi, begin, 0.5 * h, 2 * count, halvings + 1)
+            else:
+                raise ConvergenceError(
+                    f"Chebyshev tail above rtol {self.integ_tol:.3g} on "
+                    f"[{begin:.6g}, {begin + count * h:.6g}] after {HALVING_CAP} "
+                    f"panel halvings"
+                )
+        return psi
+
+    def _block(self, psi0, start, h, panels):
+        """Sweep psi = psi0 - i int H psi over ``panels`` panels of length ``h`` from ``start``.
+
+        Returns the end state, or None when the last two Chebyshev
+        coefficients of some panel's integrand exceed ``integ_tol`` times the
+        block's largest |H psi|, i.e. the panels are too long for the
+        carriers.  Raises :class:`ConvergenceError` when a sweep still changes
+        some real or imaginary part by more than ``integ_tol / 100`` after
+        SWEEP_CAP sweeps.
+        """
+        space, nodes, dim = self.space, len(self.nodes), self.space.dim
+        size = nodes * panels * dim
+        times = start + h * (np.arange(panels) + 0.5 * (1.0 + self.nodes[:, None]))
+        weights = np.ascontiguousarray(
+            _coefficients(self.setup, space.betas, times).reshape(nodes * panels, -1).T)
+        integrate = 0.5 * h * self.integrate
+        # displacement from psi0 at every node, panels side by side: (nodes, panels, dim)
+        shift, moved = (buffer[:size].reshape(nodes, panels, dim)
+                        for buffer in (self.shift, self.moved))
+        rates = self.rates[:size].reshape(-1, dim)
+        shift[...] = 0.0
+        for sweep in range(1, SWEEP_CAP + 1):
+            state = np.add(shift, psi0, out=moved)  # moved is free until the GEMM
+            space.minus_i_h(weights, state.reshape(-1, dim), rates, self.work)
+            # one real GEMM with the nodes as rows: (nodes, 2 * panels * dim)
+            np.matmul(integrate, rates.reshape(nodes, -1).view(float),
+                      out=moved.reshape(nodes, -1).view(float))
+            moved[:, 1:] += np.cumsum(moved[-1, :-1], axis=0)  # each panel starts where the last ended
+            change = np.subtract(moved, shift, out=shift).view(float)
+            update = max(change.max(), -change.min())
+            shift, moved = moved, shift
+            if update <= 1e-2 * self.integ_tol:
+                break
+        else:
+            raise ConvergenceError(
+                f"Picard sweeps stalled at update {update:.3g} after {SWEEP_CAP} "
+                f"sweeps over [{start:.6g}, {start + panels * h:.6g}]"
+            )
+        self.evaluations += sweep * nodes * panels
+        tail = np.max(np.abs(self.tail @ rates.reshape(nodes, -1)), initial=0.0)
+        if tail > self.integ_tol * np.max(np.abs(rates), initial=0.0):
+            return None
+        return psi0 + shift[-1, -1]
 
 
 @dataclass(frozen=True)
@@ -192,15 +352,23 @@ def evolve(
     integ_tol: float = 1e-10,
     dimension_cap: int = DIMENSION_CAP,
 ) -> OracleResult:
-    """Adaptive high-order integration of the transit, 0 to T = L/v.
+    """Exact transit, 0 to T = L/v, by block Chebyshev-Picard iteration.
 
-    Uses DOP853 with rtol = ``integ_tol`` and atol = ``integ_tol`` / 100;
-    both are recorded in ``step_report``.  Raises :class:`ConvergenceError`
-    before integrating if ``integ_tol`` is below :data:`INTEG_TOL_FLOOR`
-    (100 * machine epsilon, ~2.2e-14, the tightest rtol the integrator
-    honours) or is NaN or infinite, and after integrating if the final norm
-    drifts by more than 10 * integ_tol (unitarity bound); warns when the
-    validity estimator is outside the trusted range.
+    Panels of CHEB_DEGREE + 1 Chebyshev-Lobatto nodes each span at most
+    2 * PANEL_PHASE radians of the fastest carrier; a block of panels is
+    swept until the largest update is at most atol = ``integ_tol`` / 100, and
+    is redone with halved panels unless the last two Chebyshev coefficients
+    of every panel's integrand are at most rtol = ``integ_tol`` relative to
+    the block's largest |H psi|.  ``step_report`` records the panels taken
+    (``steps``), the node evaluations of H psi (``rhs_evaluations``), both
+    tolerances and the dimension.  Raises :class:`ConvergenceError` before
+    integrating if ``integ_tol`` is below :data:`INTEG_TOL_FLOOR` (100 *
+    machine epsilon, ~2.2e-14: the Chebyshev tail bottoms out near 2e-15 in
+    rounding, so a tighter rtol cannot be certified) or is NaN or infinite;
+    when a block's sweeps or panel halvings hit their cap; and after
+    integrating if the final norm drifts by more than 10 * integ_tol
+    (unitarity bound).  Warns when the validity estimator is outside the
+    trusted range.
     """
     _check_integ_tol(integ_tol)
     if truncation is None:
@@ -209,32 +377,12 @@ def evolve(
     _warn_validity(validity(setup, prep))
 
     space = _OracleSpace(truncation)
-    T = setup.crossing_time
-    betas, ladders, fd = space.betas, space.ladders, space.field_dim
     psi0 = np.zeros(space.dim, dtype=complex)
     psi0[space.initial_index(prep)] = 1.0
-
-    def rhs(t, psi):
-        w = _coefficients(setup, betas, t)
-        w_dagger = np.conj(w.reshape(2, -1)[::-1]).ravel()  # of a^dag, a in F^dag
-        excited = w @ (ladders @ psi[:fd]).reshape(-1, fd)          # F psi_g
-        ground = w_dagger @ (ladders @ psi[fd:]).reshape(-1, fd)    # F^dag psi_e
-        return -1j * np.concatenate((ground, excited))
-
+    propagator = _PicardPropagator(space, setup, integ_tol)
+    psi_T = propagator.run(psi0)
     rtol = integ_tol
     atol = integ_tol * 1e-2
-    sol = solve_ivp(
-        rhs,
-        (0.0, T),
-        psi0,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"evolution failed: {sol.message}")
-    psi_T = sol.y[:, -1]
     overlap = complex(np.vdot(psi0, psi_T))
     norm_drift = abs(float(np.linalg.norm(psi_T)) - 1.0)
     if norm_drift > 10.0 * integ_tol:
@@ -249,8 +397,8 @@ def evolve(
         p_excite_numeric=p_excite,
         norm_drift=norm_drift,
         step_report={
-            "steps": int(len(sol.t) - 1),
-            "rhs_evaluations": int(sol.nfev),
+            "steps": propagator.steps,
+            "rhs_evaluations": propagator.evaluations,
             "integ_tol": integ_tol,
             "rtol": rtol,
             "atol": atol,

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,22 @@ def _rebuilt_amplitudes(resolved: ResolvedConfig):
         amplitudes[row] = survival_amplitude(comps, point.setup, point.prep.photons)
         validities[row] = validity(point.setup, point.prep)
     return amplitudes, validities, failed
+
+
+def largest_validity(resolved: ResolvedConfig) -> float:
+    """Largest validity estimator any row of the sweep evaluates, from the configuration alone.
+
+    The estimator (lambda/Omega) n L/v grows with the photon number and the
+    coupling ratio and falls with the speed; the detuning leaves it alone.  A
+    speed outside 0 < v < c fails its row before anything is evaluated.
+    """
+    request, setup = resolved.sweep, resolved.setup
+    if request.variable == "speed":
+        speeds = [v for v in request.values if 0 < v < setup.light_speed]
+        setup = replace(setup, atom_speed=min(speeds, default=setup.atom_speed))
+    elif request.variable == "coupling_ratio":
+        setup = replace(setup, coupling=max(request.values) * setup.atom_gap)
+    return _validity(setup, request.largest_photons)
 
 
 def compute_rows(resolved: ResolvedConfig):
@@ -179,14 +196,13 @@ def run_sweep(resolved: ResolvedConfig, output, quiet: bool = False, messages=()
     Warnings raised while computing go to the manifest and, unless ``quiet``,
     to stderr, after ``messages`` (warnings raised before the sweep, such as
     while resolving its configuration).  The manifest's ``validity_class`` is
-    that of the largest photon number any row evaluates.
+    that of :func:`largest_validity`.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         header, rows, report = compute_rows(resolved)
     extra = {
-        "validity_class": classify_validity(
-            _validity(resolved.setup, resolved.sweep.largest_photons)),
+        "validity_class": classify_validity(largest_validity(resolved)),
         "truncation": report.as_dict(),
     }
     manifest_path = write_outputs(output, header, rows, resolved, "sweep",

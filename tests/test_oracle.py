@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from fockprobe import (
     ParameterError,
@@ -70,29 +71,24 @@ def test_hamiltonian_single_mode_ladder_entries():
     assert H[0, 1] == H[2, 3] == H[0, 2] == H[1, 3] == 0.0
 
 
-def test_evolved_rhs_is_minus_i_hamiltonian(monkeypatch):
-    # the right-hand side evolve integrates is -i H(t) psi with the same H(t)
-    # that build_hamiltonian returns, on a truncation with unequal mode caps
-    captured = {}
-
-    def capture(fun, *args, **kwargs):
-        captured["rhs"] = fun
-        raise InterruptedError
-
-    monkeypatch.setattr(oracle, "solve_ivp", capture)
+def test_evolved_rhs_is_minus_i_hamiltonian():
+    # the batched product the propagator sweeps is -i H(t) psi with the same
+    # H(t) that build_hamiltonian returns, on a truncation with unequal mode caps
     setup = fast(ratio=1e-4)
-    prep = prepare_field(setup, 2, 1)
     trunc = HilbertTruncation(modes=((3, 2), (1, 1), (2, 4), (5, 1)))
-    with pytest.raises(InterruptedError):
-        evolve(setup, prep, trunc, integ_tol=1e-10)
+    space = oracle._OracleSpace(trunc)
+    times = np.array([0.0, 0.3, 17.0, 61.7, 99.0])
     rng = np.random.default_rng(5)
     dim = trunc.dimension
-    for t in (0.0, 0.3, 17.0, 61.7, 99.0):
-        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        expected = -1j * (build_hamiltonian(setup, trunc, t) @ psi)
-        got = captured["rhs"](t, psi)
-        assert got.shape == expected.shape
-        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected)) + 1e-300
+    psi = rng.normal(size=(len(times), dim)) + 1j * rng.normal(size=(len(times), dim))
+    weights = np.ascontiguousarray(oracle._coefficients(setup, space.betas, times).T)
+    out = np.empty_like(psi)
+    work = np.empty(weights.size * space.field_dim, dtype=complex)
+    got = space.minus_i_h(weights, psi, out, work)
+    assert got is out
+    for row, t in enumerate(times):
+        expected = -1j * (build_hamiltonian(setup, trunc, t) @ psi[row])
+        assert np.max(np.abs(got[row] - expected)) <= 1e-14 * np.max(np.abs(expected)) + 1e-300
 
 
 def test_zero_coupling_evolution_is_identity():
@@ -170,7 +166,7 @@ def _forbid(monkeypatch, name):
     "tol", [float("nan"), float("inf"), 0.0, -1.0, INTEG_TOL_FLOOR / 2]
 )
 def test_unusable_tolerance_rejected_before_integration(tol, monkeypatch):
-    _forbid(monkeypatch, "solve_ivp")
+    _forbid(monkeypatch, "_PicardPropagator")
     setup = fast(ratio=1e-4)
     prep = prepare_field(setup, 2, 1)
     with pytest.raises(ConvergenceError, match="tightest rtol"):
@@ -183,12 +179,92 @@ def test_step_report_records_tolerances_actually_used(tol):
                         coupling_ratio=0.0, unit_mode="natural")
     prep = prepare_field(setup, 2, 1)
     with warnings.catch_warnings():
-        # a clamped rtol shows up only as scipy's "rtol is too small" warning
+        # the floor itself runs without any warning
         warnings.simplefilter("error", UserWarning)
         report = evolve(setup, prep, integ_tol=tol).step_report
+    assert set(report) == {"steps", "rhs_evaluations", "integ_tol", "rtol", "atol",
+                           "dimension"}
     assert report["integ_tol"] == tol
     assert report["rtol"] == tol
     assert report["atol"] == tol * 1e-2
+    assert min(report["steps"], report["rhs_evaluations"], report["dimension"]) > 0
+
+
+# The benchmark's oracle point: v = 0.1, T = 10, transit phase delta T = pi/2.
+@pytest.fixture(scope="module")
+def bench_point():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # lambda / Omega above the typical range
+        setup = build_setup(1.0, 0.1, light_speed=1.0, resonant_with_mode=2,
+                            detuning=math.pi / 20.0, coupling_ratio=3e-4,
+                            unit_mode="natural")
+        prep = prepare_field(setup, 2, 2)
+        result = evolve(setup, prep, integ_tol=1e-11)
+    return setup, prep, result
+
+
+def _dop853_reference(setup, prep, integ_tol):
+    # the same weights and stacked ladders, integrated by scipy's DOP853 one
+    # time at a time: the cross-check for the block Chebyshev-Picard propagator
+    space = oracle._OracleSpace(default_truncation(prep))
+    betas, ladders, fd = space.betas, space.ladders, space.field_dim
+    psi0 = np.zeros(space.dim, dtype=complex)
+    psi0[space.initial_index(prep)] = 1.0
+
+    def rhs(t, psi):
+        w = oracle._coefficients(setup, betas, t)
+        w_dagger = np.conj(w.reshape(2, -1)[::-1]).ravel()  # of a^dag, a in F^dag
+        excited = w @ (ladders @ psi[:fd]).reshape(-1, fd)          # F psi_g
+        ground = w_dagger @ (ladders @ psi[fd:]).reshape(-1, fd)    # F^dag psi_e
+        return -1j * np.concatenate((ground, excited))
+
+    sol = solve_ivp(rhs, (0.0, setup.crossing_time), psi0, method="DOP853",
+                    rtol=integ_tol, atol=integ_tol * 1e-2)
+    assert sol.success
+    psi_T = sol.y[:, -1]
+    return complex(np.vdot(psi0, psi_T)), float(np.sum(np.abs(psi_T[fd:]) ** 2))
+
+
+def test_propagator_matches_dop853_at_benchmark_point(bench_point):
+    setup, prep, result = bench_point
+    overlap, p_excite = _dop853_reference(setup, prep, 1e-11)
+    assert abs(result.overlap - overlap) <= 1e-13
+    assert result.p_excite_numeric == pytest.approx(p_excite, rel=1e-12, abs=0.0)
+    assert result.norm_drift <= 10.0 * 1e-11
+
+
+def test_block_seams_do_not_move_the_overlap(bench_point, monkeypatch):
+    setup, prep, result = bench_point
+    monkeypatch.setattr(oracle, "BLOCK_BYTES", 1)  # one panel per block
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        seamed = evolve(setup, prep, integ_tol=1e-11)
+    assert seamed.step_report["steps"] == result.step_report["steps"]
+    assert abs(seamed.overlap - result.overlap) <= 1e-14
+
+
+def test_panel_halving_recovers_long_panels(bench_point, monkeypatch):
+    # panels twice as long as the carriers allow fail the Chebyshev tail test
+    # and are redone halved; with no halving allowed the block is refused
+    setup, prep, result = bench_point
+    monkeypatch.setattr(oracle, "PANEL_PHASE", 2.0 * oracle.PANEL_PHASE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        halved = evolve(setup, prep, integ_tol=1e-11)
+        assert abs(halved.overlap - result.overlap) <= 1e-14
+        monkeypatch.setattr(oracle, "HALVING_CAP", 0)
+        with pytest.raises(ConvergenceError, match="Chebyshev tail"):
+            evolve(setup, prep, integ_tol=1e-11)
+
+
+def test_picard_sweep_cap_raises(monkeypatch):
+    monkeypatch.setattr(oracle, "SWEEP_CAP", 1)
+    setup = fast(ratio=1e-4)
+    prep = prepare_field(setup, 2, 1)
+    with pytest.raises(ConvergenceError, match="Picard sweeps"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            evolve(setup, prep, integ_tol=1e-10)
 
 
 def test_convergence_scan_rejects_unusable_level_before_evolving(monkeypatch):

@@ -504,6 +504,28 @@ def test_validity_guard_checks_the_largest_photon_number(tmp_path, capsys, comma
         assert manifest["validity_class"] == "invalid"
 
 
+# At L = 1, v = 1e-3, lambda/Omega = 1e-5 and n = 5 the base point scores
+# 0.05 ("ok"); the smallest speed or the largest coupling ratio scores 5.
+@pytest.mark.parametrize("variable, values", [
+    ("coupling_ratio", "1e-5, 1e-4, 1e-3"),
+    ("speed", "1e-3, 1e-4, 1e-5"),
+])
+def test_validity_guard_judges_the_whole_sweep_grid(tmp_path, capsys, variable, values):
+    cfg = write_config(tmp_path, {"units.mode": "natural", "cavity.length": "1",
+                                  "atom.speed": "1e-3", "atom.coupling_ratio": "1e-5",
+                                  "field.mode": "2", "field.photons": "5",
+                                  "sweep.variable": variable, "sweep.values": values})
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--config", str(cfg), "--output", str(out), "--quiet"]
+    assert main(argv) == 3
+    assert "perturbative output untrusted" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--force"]) == 0
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["validity_class"] == "invalid"
+    assert any(w.startswith("validity estimator 5 is invalid") for w in manifest["warnings"])
+
+
 @pytest.mark.parametrize("grid", [
     ["--n-step", "0"],
     ["--n-step", "-1"],
