@@ -14,6 +14,7 @@ configuration error, 2 numerical failure, 3 validity-guard violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 import warnings
@@ -45,7 +46,9 @@ EXIT_NUMERIC = 2
 EXIT_VALIDITY = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="config file (key = value lines)")
     common.add_argument("--output", type=Path, help="CSV destination (default: stdout)")
@@ -214,7 +217,8 @@ def _cmd_kernels(args, resolved, caught) -> int:
         if not args.quiet:
             sys.stderr.write(
                 f"mode sum over beta != {resolved.prep.mode}: {total!r} "
-                f"({report.modes_evaluated} modes, tail ~ {report.tail_estimate:.3g})\n"
+                f"(B = {report.modes_evaluated} direct modes, tail added "
+                f"{report.tail_estimate:.3g}, error bound {report.error_bound:.3g})\n"
             )
     write_outputs(args.output, header, rows, resolved, "kernels", _messages(caught),
                   extra, args.quiet)

@@ -139,18 +139,17 @@ def mode_sum_offres(
 ):
     """Off-resonant kernel sum  Sum_{beta != alpha} conj(C_{+,beta}) / (k_beta L).
 
-    The n-independent second-order contribution to the survival amplitude.
-    Terms fall off like 1/beta^2; summation is in ascending beta (fixed order,
-    reproducible) and stops after ten consecutive increments below
-    ``policy.tail_tol`` relative, or at ``policy.max_mode`` with a warning.
-    Returns (value, TruncationReport); the tail estimate is the 1/beta
-    integral extrapolation of the last term.
+    The n-independent second-order contribution to the survival amplitude,
+    summed to infinity: modes 1..B directly, the rest as an exact tail (its
+    rational part by Hurwitz zeta values, its oscillating part by summation
+    by parts; see ``amplitudes._mode_sum``).  Warns when B reaches
+    ``policy.max_mode`` before the tail's error bound meets
+    ``policy.tail_tol`` relative.  With ``modes`` given, sums exactly those
+    modes.  Returns (value, TruncationReport).
     """
-    if modes is None:
-        policy.check_covers(prep)
     total, report = _mode_sum(
-        lambda betas: np.conj(_closed_array(setup, betas, +1, _reduced_kernel, 2))
+        setup, lambda betas: np.conj(_closed_array(setup, betas, +1, _reduced_kernel, 2))
         / (betas * np.pi),
-        prep.mode, policy, modes, 1.0, "off-resonant kernel sum",
+        prep.mode, policy, modes, True, "off-resonant kernel sum",
     )
     return complex(total), report

@@ -201,8 +201,8 @@ def prepare_field(setup: ProbeSetup, mode: int, photons: int) -> FieldPreparatio
 class TruncationPolicy:
     """Controls for the infinite mode sums.
 
-    max_mode caps the summation index; tail_tol is the relative increment
-    threshold for adaptive termination.
+    max_mode caps the number B of directly summed modes; tail_tol bounds the
+    error of the exact tail added beyond B, relative to the sum.
     """
 
     max_mode: int = 10_000
@@ -225,22 +225,26 @@ class TruncationPolicy:
 
 DEFAULT_POLICY = TruncationPolicy()
 
-# Number of consecutive below-threshold increments required before an adaptive
-# mode sum is declared converged.
-CONSECUTIVE_SMALL_INCREMENTS = 10
-
 
 @dataclass(frozen=True)
 class TruncationReport:
-    """How a mode sum was terminated."""
+    """How a mode sum was closed.
+
+    modes_evaluated is the number B of directly summed modes (or of the
+    explicit modes), tail_estimate the magnitude of the tail added beyond B,
+    error_bound the bound on that tail's error, and converged whether the
+    bound is at most tail_tol times the sum.
+    """
 
     modes_evaluated: int
     tail_estimate: float
     converged: bool
+    error_bound: float = 0.0
 
     def as_dict(self) -> dict:
         return {
             "modes_evaluated": self.modes_evaluated,
             "tail_estimate": self.tail_estimate,
+            "error_bound": self.error_bound,
             "converged": self.converged,
         }

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_setup
 from fockprobe import (
@@ -15,6 +17,8 @@ from fockprobe import (
     x_mod_squared,
     x_quadrature,
 )
+from fockprobe.amplitudes import _closed_array, _reduced_amplitude, _transit_phases
+from fockprobe.kernels import _reduced_kernel
 from fockprobe.model import TruncationPolicy, TruncationReport
 
 
@@ -192,3 +196,57 @@ def test_x_closed_structure():
     manual = abs(values[1, +1]) ** 2 + abs(values[3, +1]) ** 2
     assert total == pytest.approx(manual, rel=1e-14)
     assert report == TruncationReport(2, 0.0, True)
+
+
+# Rotating-sign setups at v = 0.01, L = c = 1 with a chosen transit phase
+# a = (beta pi - Omega) / v; |a| <= 60 keeps Omega positive for every beta.
+PROPERTY_SPEED = 0.01
+
+
+def rotating_setup(beta, a):
+    return build_setup(1.0, PROPERTY_SPEED, light_speed=1.0,
+                       atom_gap=beta * math.pi - a * PROPERTY_SPEED,
+                       coupling_ratio=1e-4, unit_mode="natural")
+
+
+CLOSED_FORMS = {
+    # reduced form, power of T, Lipschitz constant of the closed form in a
+    # over T**order (|d/da| of T b^-1/2 int e^{iax} sin bx and of
+    # T^2 int_0^1 e^{ias} K(s) ds with |K| <= 1)
+    "X": (_reduced_amplitude, 1, lambda b: 1.0 / math.sqrt(b)),
+    "C": (_reduced_kernel, 2, lambda b: 0.5),
+}
+
+
+@settings(deadline=None, max_examples=80)
+@given(beta=st.integers(1, 12), a=st.floats(-60.0, 60.0), form=st.sampled_from(["X", "C"]))
+def test_closed_form_conjugates_under_a_to_minus_a(beta, a, form):
+    reduced, order, lipschitz = CLOSED_FORMS[form]
+    plus, minus = rotating_setup(beta, a), rotating_setup(beta, -a)
+    value_plus = _closed_array(plus, [beta], -1, reduced, order)[0]
+    value_minus = _closed_array(minus, [beta], -1, reduced, order)[0]
+    # the two transit phases are rounded separately: allow their mismatch
+    mismatch = abs(_transit_phases(plus, beta, -1)[0] + _transit_phases(minus, beta, -1)[0])
+    scale = plus.crossing_time ** order
+    assert abs(value_minus - np.conj(value_plus)) <= scale * (
+        1e-12 + mismatch * lipschitz(beta * math.pi))
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    beta=st.integers(1, 12),
+    side=st.sampled_from([-1.0, 1.0]),
+    offset=st.one_of(st.floats(-1e-3, 1e-3), st.sampled_from([0.0, 1e-300, -1e-12])),
+    form=st.sampled_from(["X", "C"]),
+)
+def test_closed_form_is_continuous_through_a_equal_plus_minus_b(beta, side, offset, form):
+    reduced, order, lipschitz = CLOSED_FORMS[form]
+    b = beta * math.pi
+    setup = rotating_setup(beta, side * b + offset)
+    a = _transit_phases(setup, beta, -1)[0]
+    value = _closed_array(setup, [beta], -1, reduced, order)[0]
+    # the limit itself, from the reduced form at |a| = b exactly
+    limit = reduced(b, b)
+    limit = limit if side > 0 else np.conj(limit)
+    scale = setup.crossing_time ** order
+    assert abs(value - scale * limit) <= scale * (1e-12 + abs(a - side * b) * lipschitz(b))

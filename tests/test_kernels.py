@@ -17,7 +17,9 @@ from fockprobe import (
     prepare_field,
     x_closed,
 )
-from fockprobe.model import CONSECUTIVE_SMALL_INCREMENTS, TruncationPolicy, TruncationReport
+from fockprobe.amplitudes import _closed_array, _mode_tail
+from fockprobe.kernels import _reduced_kernel
+from fockprobe.model import TruncationPolicy, TruncationReport
 
 
 def resonant(alpha, speed=1e-3, length=1.0):
@@ -121,16 +123,18 @@ def test_mode_sum_exclusion_is_consistent():
 
 
 def test_mode_sum_cap_warns_and_tail_estimate_brackets_remainder():
-    setup = resonant(2)
+    # rho = c/v = 4.9875 puts z = -exp(-i pi rho) near 1, where summation by
+    # parts needs B of several hundred: a cap of 64 stops short of that
+    setup = resonant(2, speed=0.2005)
     prep = prepare_field(setup, 2, 0)
-    short = TruncationPolicy(max_mode=500, tail_tol=1e-12)
-    longer = TruncationPolicy(max_mode=2000, tail_tol=1e-12)
-    with pytest.warns(ProbeWarning):
+    short = TruncationPolicy(max_mode=64)
+    with pytest.warns(ProbeWarning, match="hit max_mode=64"):
         s_short, rep_short = mode_sum_offres(setup, prep, short)
-    with pytest.warns(ProbeWarning):
-        s_long, _ = mode_sum_offres(setup, prep, longer)
-    assert not rep_short.converged
-    assert abs(s_long - s_short) <= 2.0 * rep_short.tail_estimate
+    s_long, rep_long = mode_sum_offres(setup, prep)
+    assert not rep_short.converged and rep_short.modes_evaluated == 64
+    assert rep_short.error_bound > short.tail_tol * abs(s_short)
+    assert rep_long.converged and 64 < rep_long.modes_evaluated <= 10_000
+    assert abs(s_long - s_short) <= rep_short.error_bound + rep_long.error_bound
 
 
 def test_mode_sum_converges_under_loose_tolerance():
@@ -139,10 +143,35 @@ def test_mode_sum_converges_under_loose_tolerance():
     policy = TruncationPolicy(max_mode=10_000, tail_tol=1e-6)
     value, report = mode_sum_offres(setup, prep, policy)
     assert report.converged
-    # doubling the cap must not move a converged sum beyond its tail estimate
+    assert report.error_bound <= 1e-6 * abs(value)
+    # doubling the cap leaves the converged sum as it is, and the default
+    # tolerance moves it by no more than the loose sum's own bound
     doubled = TruncationPolicy(max_mode=20_000, tail_tol=1e-6)
-    value2, _ = mode_sum_offres(setup, prep, doubled)
-    assert abs(value2 - value) <= max(report.tail_estimate, 1e-6 * abs(value))
+    assert mode_sum_offres(setup, prep, doubled) == (value, report)
+    tight, _ = mode_sum_offres(setup, prep)
+    assert abs(tight - value) <= report.error_bound + 1e-15 * abs(value)
+
+
+def test_unmeetable_tail_tolerance_warns_and_reports_not_converged():
+    setup = resonant(2)
+    prep = prepare_field(setup, 2, 0)
+    policy = TruncationPolicy(max_mode=3, tail_tol=1e-17)
+    for name, call in (("off-resonant kernel sum", lambda: mode_sum_offres(setup, prep, policy)),
+                       ("transition mode sum", lambda: counter_rotating_mode_sum(setup, 2, policy))):
+        with pytest.warns(ProbeWarning, match=f"{name} hit max_mode=3"):
+            value, report = call()
+        assert not report.converged and report.modes_evaluated == 3
+        assert report.error_bound > 1e-17 * abs(value)
+
+
+@pytest.mark.parametrize("gap", [1e-300, 5e-324])
+def test_mode_sums_survive_a_vanishing_gap(gap):
+    # the poles of the tails collapse onto beta = 0 and their spread underflows
+    setup = build_setup(1.0, 1e-3, light_speed=1.0, atom_gap=gap,
+                        coupling_ratio=1e-4, unit_mode="natural")
+    for value, report in (mode_sum_offres(setup, prepare_field(setup, 2, 0)),
+                          counter_rotating_mode_sum(setup, 2)):
+        assert cmath.isfinite(value) and report.converged
 
 
 def test_c_closed_structure():
@@ -158,29 +187,6 @@ def test_c_closed_structure():
     assert report == TruncationReport(2, 0.0, True)
 
 
-def reference_mode_sum(terms, alpha, policy, tail_factor):
-    """Term-by-term stop rule that the vectorized mode sums must reproduce.
-
-    ``terms[beta - 1]`` is the summand of mode beta; the probed mode alpha is
-    skipped.  Returns (total, TruncationReport).
-    """
-    total, run, last, beta_last = 0.0, 0, 0.0, 0
-    for beta in range(1, policy.max_mode + 1):
-        if beta == alpha:
-            continue
-        term = terms[beta - 1]
-        total += term
-        last, beta_last = abs(term), beta
-        if abs(total) > 0 and last <= policy.tail_tol * abs(total):
-            run += 1
-            if run >= CONSECUTIVE_SMALL_INCREMENTS:
-                break
-        else:
-            run = 0
-    converged = run >= CONSECUTIVE_SMALL_INCREMENTS
-    return total, TruncationReport(beta_last, float(last * beta_last * tail_factor), converged)
-
-
 SETUPS = {
     "natural": resonant(2),
     "SI": build_setup(1e-6, 1000.0, resonant_with_mode=2, coupling_ratio=1e-4),
@@ -189,39 +195,98 @@ SETUPS = {
 
 @pytest.mark.filterwarnings("ignore::fockprobe.ProbeWarning")
 @pytest.mark.parametrize("which", ["offres", "counter_rotating"])
-@pytest.mark.parametrize("units, alpha, max_mode, boundary", [
-    ("SI", 2, 3000, 256),        # the ten small terms straddle modes 256 | 257
-    ("natural", 253, 3000, 256),  # ... with the probed mode inside that run
-    ("natural", 4, 3000, 768),   # straddle modes 768 | 769
-    ("SI", 2, 768, None),        # capped at a chunk boundary
+@pytest.mark.parametrize("units, alpha, modes, cap", [
+    ("SI", 2, 3000, 256),
+    ("natural", 253, 3000, 256),  # the probed mode among the direct modes, B at the cap
+    ("natural", 4, 3000, 768),
+    ("SI", 2, 768, None),
     ("natural", 3, 256, None),
-    ("natural", 5, 6, None),     # capped at alpha + 1
+    ("natural", 5, 6, None),      # B capped at alpha + 1
 ])
-def test_mode_sums_match_term_by_term_loop(which, units, alpha, max_mode, boundary):
+def test_mode_sums_match_term_by_term_loop(which, units, alpha, modes, cap):
+    """The direct part is a term-by-term loop over modes 1..B; the tail beyond
+    B agrees with the loop's further terms up to ``modes`` plus the tail beyond."""
     setup = SETUPS[units]
-    betas = np.arange(1, max_mode + 1)
-    if which == "offres":
-        closed = np.array([c_closed(setup, int(b), +1) for b in betas])
-        terms, tail_factor = np.conj(closed) / (betas * np.pi), 1.0
+    kernel = which == "offres"
+    betas = range(1, modes + 1)
+    if kernel:
+        terms = [np.conj(c_closed(setup, b, +1)) / (b * np.pi) for b in betas]
     else:
-        closed = np.array([x_closed(setup, int(b), +1) for b in betas])
-        terms, tail_factor = np.abs(closed) ** 2, 0.5
-    if boundary is None:
-        tail_tol = 1e-14
+        terms = [abs(x_closed(setup, b, +1)) ** 2 for b in betas]
+    policy = TruncationPolicy(max_mode=cap or modes)
+    if kernel:
+        total, report = mode_sum_offres(setup, prepare_field(setup, alpha, 0), policy)
     else:
-        # every term from mode boundary - 6 on is small relative to the running
-        # total, so a run of ten small terms ends just past the boundary
-        kept = betas != alpha
-        ratio = np.abs(terms) / np.abs(np.cumsum(np.where(kept, terms, 0.0)))
-        tail_tol = float(ratio[boundary - 7:][kept[boundary - 7:]].max())
-    policy = TruncationPolicy(max_mode=max_mode, tail_tol=tail_tol)
-    expected = reference_mode_sum(terms, alpha, policy, tail_factor)
-    if which == "offres":
-        got = mode_sum_offres(setup, prepare_field(setup, alpha, 0), policy)
-    else:
-        got = counter_rotating_mode_sum(setup, alpha, policy)
-    assert got == expected
-    if boundary is None:
-        assert not got[1].converged and got[1].modes_evaluated == max_mode
-    else:
-        assert got[1].converged and boundary < got[1].modes_evaluated < boundary + 10
+        total, report = counter_rotating_mode_sum(setup, alpha, policy)
+    B = report.modes_evaluated
+    assert alpha < B <= policy.max_mode
+    direct = 0.0
+    for beta in range(1, B + 1):
+        if beta != alpha:
+            direct += terms[beta - 1]
+    tail, bound = _mode_tail(setup, B + 1, kernel)
+    assert total == pytest.approx(direct + tail, rel=1e-14)
+    assert report.tail_estimate == abs(tail) and report.error_bound == bound
+    assert report.converged == (bound <= policy.tail_tol * abs(total))
+    further = sum(terms[B:modes]) + _mode_tail(setup, modes + 1, kernel)[0]
+    # the SI transit phases a ~ 1e6 beta carry rounding of 1e-10..1e-7 rad,
+    # which the loop's terms and the tail's start phase round differently
+    assert abs(further - tail) <= bound + 1e-11 * abs(total)
+
+
+def _reference_sums(setup, alpha, modes=20_000_000, chunk=1 << 19):
+    """Both mode sums summed directly to ``modes``, plus the tails beyond.
+
+    Modes below 65 use the closed forms.  Above, where a - b > 0 is far from
+    the removable singularity, the textbook terms are, in units of T^2 and
+    with p = (-1)^beta, D = b^2 - a^2, r = b / D^2:
+    conj(C+)/b = r (1 - p cos a) + i (r p sin a + a / (2 b D)) and
+    |X+|^2 = 2 r (1 - p cos a).
+    """
+    betas = np.arange(1, 65)
+    betas = betas[betas != alpha]
+    offres = np.sum(np.conj(_closed_array(setup, betas, +1, _reduced_kernel, 2))
+                    / (betas * np.pi))
+    vacuum = np.sum(np.abs(_closed_array(setup, betas, +1)) ** 2)
+    T = setup.crossing_time
+    parity = np.resize([-1.0, 1.0], chunk)  # chunks start at odd modes
+    for start in range(65, modes + 1, chunk):
+        beta = np.arange(start, min(start + chunk, modes + 1), dtype=float)
+        p = parity[:beta.size]
+        b = beta * np.pi
+        a = (setup.mode_frequency(beta) + setup.atom_gap) * T
+        d = b * b - a * a
+        r = b / (d * d)
+        # reduced by 2 pi first (an error of the order of a's own rounding):
+        # cos and sin are several times slower at a ~ 1e11
+        phase = a - 2.0 * np.pi * np.rint(a / (2.0 * np.pi))
+        real = np.sum(r * (1.0 - p * np.cos(phase)))
+        imag = np.sum(r * p * np.sin(phase) + 0.5 * a / (b * d))
+        offres += T * T * complex(real, imag)
+        vacuum += T * T * 2.0 * real
+    return (offres + _mode_tail(setup, modes + 1, True)[0],
+            vacuum + _mode_tail(setup, modes + 1, False)[0])
+
+
+def _accuracy_cases():
+    rng = np.random.default_rng(20240811)
+    draws = [random_setup(rng) for _ in range(6)]
+    return [
+        ("SI microcavity", build_setup(1e-6, 1000.0, resonant_with_mode=2,
+                                       coupling_ratio=1e-4), 2),
+        # resonant with mode 3: at v = 0.2 (rho = 5, z = 1) a resonant even
+        # mode would make every |X+|^2 vanish and leave rounding to compare
+        *[(f"natural v={v}", resonant(3, speed=v), 3) for v in (0.1, 0.2, 0.37)],
+        *[(f"random draw {i}", s, 1 + i % 4) for i, s in enumerate(draws)],
+    ]
+
+
+@pytest.mark.parametrize("name, setup, alpha", _accuracy_cases(),
+                         ids=[case[0] for case in _accuracy_cases()])
+def test_mode_sums_match_twenty_million_mode_reference(name, setup, alpha):
+    offres, rep_offres = mode_sum_offres(setup, prepare_field(setup, alpha, 0))
+    vacuum, rep_vacuum = counter_rotating_mode_sum(setup, alpha)
+    assert rep_offres.converged and rep_vacuum.converged
+    ref_offres, ref_vacuum = _reference_sums(setup, alpha)
+    assert abs(offres - ref_offres) <= 1e-10 * abs(ref_offres)
+    assert abs(vacuum - ref_vacuum) <= 1e-10 * abs(ref_vacuum)

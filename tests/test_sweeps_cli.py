@@ -16,7 +16,7 @@ from fockprobe import (
     survival_amplitude,
     validity,
 )
-from fockprobe.cli import main
+from fockprobe.cli import _build_parser, main
 from fockprobe.config import MAX_SWEEP_ROWS, ConfigError
 
 NATURAL_BASE = {
@@ -74,9 +74,16 @@ def test_sweep_rows_and_manifest_content(tmp_path):
     assert manifest["row_count"] == 9
     assert manifest["config"]["sweep.variable"] == "n"
     assert "atom.coupling_ratio" in manifest["defaults_applied"]
-    # default truncation caps the off-resonant sum: recorded, not hidden
-    assert any("max_mode" in w for w in manifest["warnings"])
+    # the default truncation meets its tail tolerance
+    assert not any("max_mode" in w for w in manifest["warnings"])
+    assert manifest["truncation"]["converged"] is True
+    # a tolerance the tail bound cannot meet: recorded, not hidden
+    unmeetable = {**small_sweep_mapping(), "truncation.max_mode": 3, "truncation.tail_tol": 1e-17}
+    _, manifest_path = run_sweep(resolve_mapping(unmeetable), tmp_path / "capped.csv")
+    manifest = json.loads(manifest_path.read_text())
+    assert any("hit max_mode=3" in w for w in manifest["warnings"])
     assert manifest["truncation"]["converged"] is False
+    assert manifest["truncation"]["modes_evaluated"] == 3
 
 
 def test_sweep_isolates_row_failures(tmp_path):
@@ -118,11 +125,16 @@ def test_resolution_sweep_rows(tmp_path):
 
 
 def test_cli_warnings_reach_stderr_unless_quiet(tmp_path, capsys):
-    config = Path(__file__).resolve().parents[1] / "configs" / "optical-microcavity.cfg"
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "optical-microcavity.cfg"
+    assert main(["phase", "--config", str(shipped)]) == 0
+    assert capsys.readouterr().err == ""
+    # a tail tolerance the bound cannot meet with three direct modes
+    config = write_config(tmp_path, {**OPTICAL_LINES, "truncation.max_mode": "3",
+                                     "truncation.tail_tol": "1e-17"})
     assert main(["phase", "--config", str(config)]) == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines()[0] == "p_excite,gamma,visibility,validity"
-    assert "warning: off-resonant kernel sum hit max_mode=10000" in captured.err
+    assert "warning: off-resonant kernel sum hit max_mode=3" in captured.err
     out = tmp_path / "phase.csv"
     assert main(["phase", "--config", str(config), "--output", str(out)]) == 0
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
@@ -149,6 +161,36 @@ def test_cli_config_time_warnings_are_captured(tmp_path, capsys, command):
     assert capsys.readouterr().err == ""
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert any("coupling ratio 0.01" in w for w in manifest["warnings"])
+
+
+def test_consecutive_cli_calls_match_fresh_ones(tmp_path, capsys):
+    # main builds its parser once per process; no call may leave state behind
+    cfg = str(write_config(tmp_path, OPTICAL_LINES))
+    calls = [
+        ["amplitudes", "--config", cfg, "--mode", "1", "--mode", "3", "--quiet"],
+        ["kernels", "--config", cfg, "--mode", "2", "--mode-sum"],
+        ["resolution", "--config", cfg, "--m", "1", "--m", "2", "--n-max", "4", "--quiet"],
+        ["amplitudes", "--config", cfg, "--mode", "2"],
+        ["resolution", "--config", cfg, "--m", "3", "--n-max", "2"],
+        ["phase", "--config", cfg, "--quiet"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    consecutive = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert consecutive == fresh
+    assert all(code == 0 for code, _, _ in fresh)
+    # repeated flags start from nothing on every call
+    assert len(fresh[3][1].splitlines()) == 1 + 2
+    assert {line.split(",")[1] for line in fresh[4][1].splitlines()[1:]} == {"3"}
+    assert "tail added" in fresh[1][2] and fresh[0][2] == fresh[2][2] == ""
 
 
 def test_cli_amplitudes_stdout(tmp_path, capsys):
