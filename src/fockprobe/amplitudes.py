@@ -125,13 +125,11 @@ def _fourier_quad(envelope, a, quad_tol, limit, maxp1):
     return complex(re, -im if a < 0 else im), ere + eim
 
 
-def x_quadrature(
-    setup: ProbeSetup,
-    beta: int,
-    sign: int,
-    quad_tol: float = 1e-10,
-    max_intervals: int = 800,
-) -> complex:
+# QUADPACK subinterval limit of the transit-amplitude quadrature.
+X_QUAD_INTERVALS = 800
+
+
+def x_quadrature(setup: ProbeSetup, beta: int, sign: int, quad_tol: float = 1e-10) -> complex:
     """Transit amplitude by adaptive numerical integration (oracle path).
 
     Integrates the defining oscillatory integral with QUADPACK's sin/cos
@@ -144,7 +142,7 @@ def x_quadrature(
         raise ParameterError(f"quad_tol must be positive, got {quad_tol}")
     a, b = _transit_phases(setup, beta, sign)
     T = setup.crossing_time
-    integral, err = _fourier_quad(lambda x: np.sin(b * x), a, quad_tol, max_intervals, 100)
+    integral, err = _fourier_quad(lambda x: np.sin(b * x), a, quad_tol, X_QUAD_INTERVALS, 100)
     value = T * integral / np.sqrt(b)
     err = T * err / np.sqrt(b)
     bound = quad_tol * max(abs(value), T)

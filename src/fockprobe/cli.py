@@ -164,21 +164,23 @@ def _largest_validity(args, resolved):
     return _validity(resolved.setup, photons)
 
 
-def _guard_validity(args, resolved):
-    """Exit 3 when the largest estimator the subcommand evaluates is invalid, unless --force.
+def _guard_validity(args, resolved) -> int:
+    """EXIT_VALIDITY when the largest estimator the subcommand evaluates is invalid.
 
-    A forced run records the estimator as a warning.
+    Otherwise, or with --force, EXIT_OK; a forced run records the estimator
+    as a warning.
     """
     value = _largest_validity(args, resolved)
     if value is None or classify_validity(value) != "invalid":
-        return
+        return EXIT_OK
     if not args.force:
         sys.stderr.write(
             f"validity estimator {value:.3g} >= 1: perturbative output untrusted "
             "(rerun with --force to proceed)\n"
         )
-        raise SystemExit(EXIT_VALIDITY)
+        return EXIT_VALIDITY
     _warn_validity(value)
+    return EXIT_OK
 
 
 def _cmd_amplitudes(args, resolved, caught) -> int:
@@ -240,7 +242,8 @@ def _cmd_phase(args, resolved, caught) -> int:
     header = ["p_excite", "gamma", "visibility", "validity"]
     rows = [[outcome.p_excite, outcome.gamma, outcome.visibility, outcome.validity]]
     write_outputs(args.output, header, rows, resolved, "phase", _messages(caught),
-                  {"truncation": outcome.phase.report.as_dict()}, args.quiet)
+                  {"truncation": outcome.phase.report.as_dict(),
+                   "vacuum_truncation": outcome.transition.report.as_dict()}, args.quiet)
     return EXIT_OK
 
 
@@ -373,18 +376,16 @@ def main(argv=None) -> int:
                 resolved = parse_config(args.config)
             else:
                 raise ConfigError("this command needs --config")
-            _guard_validity(args, resolved)
-            return _HANDLERS[args.command](args, resolved, caught)
+            code = _guard_validity(args, resolved)
+            if code == EXIT_OK:
+                code = _HANDLERS[args.command](args, resolved, caught)
+            return code
     except (ConfigError, ParameterError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
     except (ConvergenceError, BranchError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERIC
-    except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        raise
 
 
 if __name__ == "__main__":

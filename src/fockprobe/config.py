@@ -54,7 +54,6 @@ KNOWN_KEYS = {
     "sweep.values": ("list", False),
     "sweep.observable": ("str", False),
     "sweep.m_values": ("list", False),
-    "sweep.fixed_n": ("int", False),
 }
 
 
@@ -66,17 +65,6 @@ class SweepRequest:
     values: tuple
     observable: str
     m_values: tuple
-    fixed_n: int
-
-    @property
-    def largest_photons(self) -> int:
-        """Largest photon number any row evaluates."""
-        if self.variable == "n":
-            differences = self.m_values if self.observable == "resolution" else (0,)
-            return max(self.values) + max(differences)
-        if self.variable == "m":
-            return self.fixed_n + max(self.values)
-        return self.fixed_n
 
 
 @dataclass(frozen=True)
@@ -212,7 +200,7 @@ def resolve_mapping(mapping: dict) -> ResolvedConfig:
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
-    sweep = _resolve_sweep(mapping, defaults, prep)
+    sweep = _resolve_sweep(mapping, defaults)
 
     resolved = dict(mapping)
     resolved.update(defaults)
@@ -226,7 +214,7 @@ def resolve_mapping(mapping: dict) -> ResolvedConfig:
     )
 
 
-def _resolve_sweep(mapping, defaults, prep) -> SweepRequest | None:
+def _resolve_sweep(mapping, defaults) -> SweepRequest | None:
     sweep_keys = [key for key in mapping if key.startswith("sweep.")]
     if not sweep_keys:
         return None
@@ -286,22 +274,14 @@ def _resolve_sweep(mapping, defaults, prep) -> SweepRequest | None:
         m_values = tuple(int(v) for v in m_values)
         if variable != "n":
             raise ConfigError("resolution sweeps run over the photon number n")
-    else:
-        m_values = tuple(int(v) for v in m_values) if m_values else ()
-
-    fixed_n = mapping.get("sweep.fixed_n")
-    if fixed_n is None:
-        fixed_n = prep.photons
-        if variable != "n":
-            defaults["sweep.fixed_n"] = fixed_n
-    if fixed_n < 0:
-        raise ConfigError(f"sweep.fixed_n must be non-negative, got {fixed_n}")
+    elif m_values is not None:
+        raise ConfigError("sweep.m_values is read only by resolution sweeps; "
+                          "set sweep.observable = resolution or remove it")
     return SweepRequest(
         variable=variable,
         values=tuple(values),
         observable=observable,
-        m_values=m_values,
-        fixed_n=int(fixed_n),
+        m_values=m_values or (),
     )
 
 

@@ -69,13 +69,11 @@ def c_closed(setup: ProbeSetup, beta: int, sign: int) -> complex:
     return complex(_closed_array(setup, np.array([beta]), sign, _reduced_kernel, 2)[0])
 
 
-def c_quadrature(
-    setup: ProbeSetup,
-    beta: int,
-    sign: int,
-    quad_tol: float = 1e-9,
-    max_intervals: int = 3000,
-) -> complex:
+# QUADPACK subinterval limit of the outer kernel quadrature.
+C_QUAD_INTERVALS = 3000
+
+
+def c_quadrature(setup: ProbeSetup, beta: int, sign: int, quad_tol: float = 1e-9) -> complex:
     """Kernel by nested numerical integration (oracle path).
 
     Reduces the ordered double integral with the substitution s = t - t' to
@@ -107,7 +105,7 @@ def c_quadrature(
         )
         return val
 
-    integral, err = _fourier_quad(K, a, quad_tol, max_intervals, 120)
+    integral, err = _fourier_quad(K, a, quad_tol, C_QUAD_INTERVALS, 120)
     value = T * T * integral
     err = T * T * err
     bound = quad_tol * max(abs(value), T * T * 1e-3)

@@ -43,7 +43,6 @@ class ProbeSetup:
     atom_gap : atomic transition angular frequency Omega (> 0)
     coupling : monopole coupling strength lambda (>= 0, angular frequency)
     atom_speed : constant transit speed v, 0 < v < c
-    unit_mode : "SI" or "natural"
     """
 
     cavity_length: float
@@ -51,7 +50,6 @@ class ProbeSetup:
     atom_gap: float
     coupling: float
     atom_speed: float
-    unit_mode: str = "SI"
 
     @property
     def crossing_time(self) -> float:
@@ -97,8 +95,9 @@ def build_setup(
     Exactly one of ``atom_gap`` / ``resonant_with_mode`` must be given; the
     latter sets ``Omega = omega_mode - detuning`` (``detuning`` is only legal
     in that form).  Exactly one of ``coupling`` / ``coupling_ratio`` must be
-    given.  Emits a :class:`ProbeWarning` when lambda/Omega falls outside the
-    typical quantum-optics window.
+    given, and (lambda L/v)^2 must be finite.  ``unit_mode`` only picks the
+    default ``light_speed`` and checks it.  Emits a :class:`ProbeWarning`
+    when lambda/Omega falls outside the typical quantum-optics window.
     """
     if unit_mode not in ("SI", "natural"):
         raise ParameterError(f"unknown unit_mode {unit_mode!r}")
@@ -142,6 +141,14 @@ def build_setup(
         coupling = coupling_ratio * atom_gap
     if not math.isfinite(coupling) or coupling < 0:
         raise ParameterError(f"coupling must be non-negative and finite, got {coupling}")
+    # every second-order quantity carries (lambda T)^2; float * overflows to
+    # inf where ** would raise
+    transit = cavity_length / atom_speed
+    lam_t = coupling * transit
+    if not math.isfinite(lam_t * lam_t):
+        raise ParameterError(
+            f"(coupling * L/v)^2 is not finite: coupling {coupling:g}, transit time {transit:g}"
+        )
 
     setup = ProbeSetup(
         cavity_length=float(cavity_length),
@@ -149,7 +156,6 @@ def build_setup(
         atom_gap=float(atom_gap),
         coupling=float(coupling),
         atom_speed=float(atom_speed),
-        unit_mode=unit_mode,
     )
     ratio = setup.coupling_ratio
     lo, hi = COUPLING_RATIO_RANGE

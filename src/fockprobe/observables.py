@@ -41,6 +41,9 @@ BRANCH_WARN = math.pi / 2
 VALIDITY_OK = 0.1
 VALIDITY_MARGINAL = 1.0
 
+# Largest photon number resolution_threshold scans.
+RESOLUTION_N_CAP = 10**7
+
 
 class BranchError(RuntimeError):
     """Survival amplitude left the principal-branch safe half-plane."""
@@ -90,19 +93,6 @@ class TransitionBreakdown:
     report: TruncationReport
 
 
-def transition_components(
-    setup: ProbeSetup,
-    alpha: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-    modes=None,
-):
-    """n-independent pieces of the transition probability for mode alpha."""
-    xm2 = abs(x_closed(setup, alpha, -1)) ** 2
-    xp2 = abs(x_closed(setup, alpha, +1)) ** 2
-    vac, report = counter_rotating_mode_sum(setup, alpha, policy, modes=modes)
-    return xm2, xp2, vac, report
-
-
 def transition_probability(
     setup: ProbeSetup,
     prep: FieldPreparation,
@@ -116,7 +106,9 @@ def transition_probability(
     under ``policy``.  Warns when the result exceeds the perturbative guard.
     """
     lam2 = setup.coupling**2
-    xm2, xp2, vac, report = transition_components(setup, prep.mode, policy, modes)
+    xm2 = abs(x_closed(setup, prep.mode, -1)) ** 2
+    xp2 = abs(x_closed(setup, prep.mode, +1)) ** 2
+    vac, report = counter_rotating_mode_sum(setup, prep.mode, policy, modes=modes)
     rotating = float(lam2 * xm2 * prep.photons)
     counter = float(lam2 * xp2 * (prep.photons + 1))
     vacuum = float(lam2 * vac)
@@ -354,12 +346,12 @@ def resolution_threshold(
     alpha: int,
     resolution_floor: float = 1e-4,
     policy: TruncationPolicy = DEFAULT_POLICY,
-    n_cap: int = 10**7,
 ):
     """Largest n with delta_1 gamma(n) >= resolution_floor, or None if already below at n=0.
 
     Uses the monotone decrease of the single-photon phase difference; the scan
-    stops at ``n_cap`` or at the branch-guard boundary, whichever comes first.
+    stops at RESOLUTION_N_CAP or at the branch-guard boundary, whichever
+    comes first.
     """
     comps = phase_components(setup, alpha, policy)
 
@@ -371,14 +363,14 @@ def resolution_threshold(
     if delta_gamma_exact(setup, alpha, 0, 1, policy, components=comps) < resolution_floor:
         return None
     lo, hi = 0, 1
-    while hi <= n_cap:
+    while hi <= RESOLUTION_N_CAP:
         if not above(hi):
             break
         lo = hi
         hi *= 2
     else:
-        return n_cap
-    hi = min(hi, n_cap)
+        return RESOLUTION_N_CAP
+    hi = min(hi, RESOLUTION_N_CAP)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if above(mid):

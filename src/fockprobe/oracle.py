@@ -100,7 +100,7 @@ class HilbertTruncation:
             d *= nmax + 1
         return d
 
-    def check(self, prep: FieldPreparation, cap: int = DIMENSION_CAP) -> None:
+    def check(self, prep: FieldPreparation) -> None:
         caps = dict(self.modes)
         if prep.mode not in caps:
             raise ParameterError(f"probed mode {prep.mode} missing from truncation")
@@ -109,9 +109,9 @@ class HilbertTruncation:
                 f"probed-mode cap {caps[prep.mode]} must be at least n + 2 = "
                 f"{prep.photons + 2}"
             )
-        if self.dimension > cap:
+        if self.dimension > DIMENSION_CAP:
             raise DimensionCapError(
-                f"truncated dimension {self.dimension} exceeds cap {cap}"
+                f"truncated dimension {self.dimension} exceeds cap {DIMENSION_CAP}"
             )
 
 
@@ -350,7 +350,6 @@ def evolve(
     prep: FieldPreparation,
     truncation: HilbertTruncation | None = None,
     integ_tol: float = 1e-10,
-    dimension_cap: int = DIMENSION_CAP,
 ) -> OracleResult:
     """Exact transit, 0 to T = L/v, by block Chebyshev-Picard iteration.
 
@@ -373,7 +372,7 @@ def evolve(
     _check_integ_tol(integ_tol)
     if truncation is None:
         truncation = default_truncation(prep)
-    truncation.check(prep, cap=dimension_cap)
+    truncation.check(prep)
     _warn_validity(validity(setup, prep))
 
     space = _OracleSpace(truncation)

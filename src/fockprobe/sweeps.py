@@ -50,18 +50,16 @@ def _fmt(value) -> str:
 
 
 def _rebuilt_amplitudes(resolved: ResolvedConfig):
-    """A(fixed_n) and validity per row of a delta, speed or coupling_ratio sweep.
+    """A(field.photons) and validity per row of a delta, speed or coupling_ratio sweep.
 
     Each row re-resolves the configuration without its sweep.* keys, with the
-    swept key set to the row's value and field.photons to sweep.fixed_n, so a
-    row is the run ``phase`` makes at that point.  Returns ``(amplitudes,
-    validities, failed)``: a row whose configuration fails is NaN in both and
-    ``failed`` maps it to the message.
+    swept key set to the row's value, so a row is the run ``phase`` makes at
+    that point.  Returns ``(amplitudes, validities, failed)``: a row whose
+    configuration fails is NaN in both and ``failed`` maps it to the message.
     """
     request = resolved.sweep
     base = {key: value for key, value in resolved.resolved.items()
             if not key.startswith("sweep.")}
-    base["field.photons"] = request.fixed_n
     amplitudes = np.full(len(request.values), complex(math.nan, math.nan))
     validities = np.full(len(request.values), math.nan)
     failed = {}
@@ -82,15 +80,23 @@ def largest_validity(resolved: ResolvedConfig) -> float:
 
     The estimator (lambda/Omega) n L/v grows with the photon number and the
     coupling ratio and falls with the speed; the detuning leaves it alone.  A
-    speed outside 0 < v < c fails its row before anything is evaluated.
+    speed outside 0 < v < c fails its row before anything is evaluated.  The
+    largest photon number is the largest n plus the largest of sweep.m_values
+    in an n sweep, field.photons plus the largest m in an m sweep, and
+    field.photons otherwise.
     """
     request, setup = resolved.sweep, resolved.setup
-    if request.variable == "speed":
+    photons = resolved.prep.photons
+    if request.variable == "n":
+        photons = max(request.values) + max(request.m_values, default=0)
+    elif request.variable == "m":
+        photons += max(request.values)
+    elif request.variable == "speed":
         speeds = [v for v in request.values if 0 < v < setup.light_speed]
         setup = replace(setup, atom_speed=min(speeds, default=setup.atom_speed))
     elif request.variable == "coupling_ratio":
         setup = replace(setup, coupling=max(request.values) * setup.atom_gap)
-    return _validity(setup, request.largest_photons)
+    return _validity(setup, photons)
 
 
 def compute_rows(resolved: ResolvedConfig):
@@ -106,7 +112,7 @@ def compute_rows(resolved: ResolvedConfig):
     if request.variable == "m":
         header = ["m", "delta_gamma", "status"]
         keys = [(m,) for m in request.values]
-        delta_gamma, failed = delta_gamma_rows(comps, setup, request.fixed_n, request.values)
+        delta_gamma, failed = delta_gamma_rows(comps, setup, prep.photons, request.values)
         columns = [delta_gamma]
     elif request.observable == "resolution":
         header = ["n", "m", "delta_gamma", "status"]
@@ -134,12 +140,6 @@ def compute_rows(resolved: ResolvedConfig):
         for row, key in enumerate(keys)
     ]
     return header, rows, comps.report
-
-
-def _json_safe(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 def write_outputs(output, header, rows, resolved: ResolvedConfig, command, messages=(),
@@ -174,9 +174,8 @@ def write_outputs(output, header, rows, resolved: ResolvedConfig, command, messa
         "tool": "fockprobe",
         "version": __version__,
         "command": command,
-        "config": {k: _json_safe(v) for k, v in sorted(resolved.resolved.items())},
-        "defaults_applied": {k: _json_safe(v)
-                             for k, v in sorted(resolved.defaults_applied.items())},
+        "config": resolved.resolved,
+        "defaults_applied": resolved.defaults_applied,
         "columns": list(header),
         "row_count": len(rows),
         "warnings": messages,

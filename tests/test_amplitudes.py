@@ -17,6 +17,7 @@ from fockprobe import (
     x_mod_squared,
     x_quadrature,
 )
+from fockprobe import amplitudes
 from fockprobe.amplitudes import _closed_array, _reduced_amplitude, _transit_phases
 from fockprobe.kernels import _reduced_kernel
 from fockprobe.model import TruncationPolicy, TruncationReport
@@ -167,10 +168,11 @@ def test_resonant_amplitude_scales_inverse_speed():
     assert max(values) == pytest.approx(min(values), rel=1e-12)
 
 
-def test_quadrature_reports_convergence_failure():
+def test_quadrature_reports_convergence_failure(monkeypatch):
     setup = resonant(2)
+    monkeypatch.setattr(amplitudes, "X_QUAD_INTERVALS", 1)
     with pytest.raises(ConvergenceError):
-        x_quadrature(setup, 9, +1, quad_tol=1e-13, max_intervals=1)
+        x_quadrature(setup, 9, +1, quad_tol=1e-13)
 
 
 def test_counter_rotating_mode_sum_explicit_vs_adaptive():

@@ -112,9 +112,7 @@ def test_truncation_validation():
     with pytest.raises(ParameterError):
         shallow.check(prep)
     with pytest.raises(DimensionCapError):
-        HilbertTruncation(modes=((1, 99), (2, 99), (3, 99))).check(
-            prepare_field(setup, 2, 1), cap=1000
-        )
+        HilbertTruncation(modes=((1, 99), (2, 99), (3, 99))).check(prepare_field(setup, 2, 1))
     with pytest.raises(ParameterError):
         HilbertTruncation(modes=((1, 2), (1, 3)))
 

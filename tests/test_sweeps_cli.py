@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from fockprobe import (
+    c_closed,
+    counter_rotating_mode_sum,
+    mode_sum_offres,
     phase_components,
     prepare_field,
     resolution_curve,
@@ -430,7 +433,7 @@ def test_branch_crossing_rows_match_scalar_reference(tmp_path, sweep):
     failed = 0
     for row in rows:
         cells = dict(zip(header, row))
-        n = int(cells.get("n", resolved.sweep.fixed_n))
+        n = int(cells.get("n", resolved.prep.photons))
         if "gamma" in cells:
             amp = amplitude(n)
             message = None
@@ -579,3 +582,80 @@ def test_cli_resolution_rejects_unusable_grid(tmp_path, capsys, grid):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1
+
+
+# A gap of 1e300 makes lambda = 1e296 and (lambda T)^2 = 1e598.
+@pytest.mark.parametrize("command", ["phase", "transition"])
+@pytest.mark.parametrize("force", [[], ["--force"]])
+def test_overflowing_coupling_is_a_configuration_error(tmp_path, capsys, command, force):
+    cfg = write_config(tmp_path, {"units.mode": "natural", "cavity.length": "1",
+                                  "atom.speed": "1e-3", "atom.gap": "1e300",
+                                  "field.mode": "2", "field.photons": "1"})
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--output", str(out), *force]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_phase_manifest_reports_both_mode_sums(tmp_path):
+    # at v = 0.2005 the vacuum sum needs B = 1024, the kernel sum B = 512
+    lines = {**NATURAL_BASE, "atom.speed": "0.2005", "field.photons": "1"}
+    out = tmp_path / "phase.csv"
+    assert main(["phase", "--config", str(write_config(tmp_path, lines)),
+                 "--output", str(out), "--quiet"]) == 0
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    resolved = resolve_mapping(lines)
+    _, offres = mode_sum_offres(resolved.setup, resolved.prep, resolved.policy)
+    _, vacuum = counter_rotating_mode_sum(resolved.setup, 2, resolved.policy)
+    assert offres.modes_evaluated != vacuum.modes_evaluated
+    assert manifest["truncation"] == offres.as_dict()
+    assert manifest["vacuum_truncation"] == vacuum.as_dict()
+
+
+@pytest.mark.parametrize("variable", ["n", "m"])
+def test_m_values_on_a_phase_sweep_is_a_configuration_error(tmp_path, capsys, variable):
+    cfg = write_config(tmp_path, {**OPTICAL_LINES, "sweep.variable": variable,
+                                  "sweep.values": "0, 1", "sweep.m_values": "7, 9"})
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "sweep.m_values" in err
+    assert not out.exists()
+
+
+FAST_LINES = {"units.mode": "natural", "cavity.length": "1", "atom.speed": "0.1",
+              "atom.coupling_ratio": "1e-6", "field.mode": "2", "field.photons": "0"}
+
+
+def test_cli_kernels_quadrature_check(tmp_path):
+    out = tmp_path / "kernels.csv"
+    assert main(["kernels", "--config", str(write_config(tmp_path, FAST_LINES)),
+                 "--mode", "1", "--quadrature-check", "--output", str(out), "--quiet"]) == 0
+    header, *rows = csv.reader(open(out))
+    assert header == ["beta", "sign", "re_closed", "im_closed", "re_quad", "im_quad"]
+    setup = resolve_mapping(FAST_LINES).setup
+    assert [row[1] for row in rows] == ["+1", "-1"]
+    for beta, sign, *cells in rows:
+        closed, quad = (complex(float(re), float(im)) for re, im in (cells[:2], cells[2:]))
+        assert closed == c_closed(setup, int(beta), int(sign))
+        assert abs(quad - closed) <= 1e-9 * abs(closed)
+
+
+@pytest.mark.parametrize("axis, code, summary", [
+    ("headroom", 0, "PASS: scan converged"),
+    ("modes", 2, "FAIL: scan not converged"),  # each added mode moves gamma by 5-8%
+])
+def test_cli_verify_scan(tmp_path, capsys, axis, code, summary):
+    out = tmp_path / "scan.csv"
+    assert main(["verify", "--config", str(write_config(tmp_path, FAST_LINES)),
+                 "--scan", axis, "--others-max", "1", "--headroom", "2",
+                 "--output", str(out), "--quiet"]) == code
+    assert capsys.readouterr().out == summary + "\n"
+    header, *rows = csv.reader(open(out))
+    assert header == ["axis", "value", "gamma", "p_excite", "norm_drift", "dimension"]
+    assert [row[0] for row in rows] == [axis] * 3
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["scan_converged"] is (code == 0)
