@@ -23,11 +23,11 @@ follow from X(-a) = conj(X(a)).
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import zeta
 
 from .model import (
@@ -50,6 +50,12 @@ def _check_mode_sign(beta, sign):
         raise ParameterError(f"mode index must be a positive integer, got {beta}")
     if sign not in (+1, -1):
         raise ParameterError(f"sign must be +1 or -1, got {sign!r}")
+
+
+def _check_quad_tol(quad_tol):
+    # written as "not (...)" so that NaN is rejected too
+    if not 0.0 < quad_tol < math.inf:
+        raise ParameterError(f"quad_tol must be finite and positive, got {quad_tol}")
 
 
 def _transit_phases(setup: ProbeSetup, beta, sign):
@@ -103,46 +109,161 @@ def x_closed(setup: ProbeSetup, beta: int, sign: int) -> complex:
     return complex(_closed_array(setup, np.array([beta]), sign)[0])
 
 
-def _fourier_quad(envelope, a, quad_tol, limit, maxp1):
-    """Integral_0^1 exp(i a x) envelope(x) dx by QUADPACK; returns (value, error).
+# Chebyshev interpolation on the Lobatto nodes, shared by the quadrature oracle
+# below and the exact-evolution propagator of :mod:`.oracle`.
 
-    Re and Im are each asked for ``quad_tol / 2`` and ``error`` is the sum of
-    their estimates.  Below |a| = 1e-6 the cos/sin factor is integrated with
-    the envelope, above it QUADPACK's weighted rule takes it; a < 0 follows
-    by conjugation.
+
+def _lobatto_nodes(degree: int):
+    """The degree + 1 Chebyshev-Lobatto nodes on [-1, 1], ascending and exactly symmetric."""
+    return np.sin(np.pi * np.arange(-degree, degree + 1, 2) / (2 * degree))
+
+
+def _cosine_transform(x):
+    """y_k = x_0 + (-1)^k x_N + 2 Sum_{0<j<N} x_j cos(pi j k / N) along axis 0 (a DCT-I)."""
+    spectrum = np.fft.fft(np.concatenate((x, x[-2:0:-1])), axis=0)[:len(x)]
+    return spectrum.real if np.isrealobj(x) else spectrum
+
+
+def _chebyshev_coefficients(values):
+    """Chebyshev coefficients (along axis 0) of the interpolant through
+    ``values`` at the ascending Lobatto nodes of degree len(values) - 1."""
+    coefs = _cosine_transform(values[::-1]) / (len(values) - 1)
+    coefs[[0, -1]] /= 2.0
+    return coefs
+
+
+def _chebyshev_values(coefs, degree):
+    """Values of the Chebyshev series ``coefs`` at the ascending Lobatto nodes
+    of ``degree`` >= len(coefs) - 1."""
+    padded = np.zeros(degree + 1, dtype=coefs.dtype)
+    padded[:len(coefs)] = coefs
+    ends = padded[0] + padded[-1] * (-1.0) ** np.arange(degree + 1)
+    return ((_cosine_transform(padded) + ends) / 2.0)[::-1]
+
+
+# Interpolant degree past the envelope's phase (floor(b) for sin(b x),
+# floor(2 b) for the overlap K), the least |a| at which the by-parts series
+# may replace the Clenshaw-Curtis product rule, the Clenshaw-Curtis margin
+# past the product's degree, the rounding floor of either rule in units of
+# its rounding scale (the product rule was measured at up to 20 eps Sum |c_k|
+# against the by-parts series for N <= 2^15; QUADPACK's floor is 50 eps),
+# and the most samples one quadrature evaluates in one array.
+INTERPOLANT_MARGIN = 40
+BYPARTS_PHASE = 2000.0
+PRODUCT_MARGIN = 40
+ROUNDING = 50.0
+SAMPLE_CAP = 1 << 20
+_I_POWERS = (1.0, 1j, -1.0, -1j)
+
+
+def _check_samples(count):
+    if count > SAMPLE_CAP:
+        raise ConvergenceError(
+            f"quadrature would need {count} samples in one array, above the "
+            f"cap of {SAMPLE_CAP}"
+        )
+
+
+def _amplification(degree, a):
+    """Bound on max_k 2^k T_n^(k)(1) / |a|^k over n <= degree: the most a
+    by-parts term weighs a coefficient, prod_j max(1, 2 D^2 / ((2j + 1) |a|)).
+    Stops once it reaches |a|, where the product rule rounds better."""
+    amplification, j = 1.0, 0
+    while amplification < abs(a):
+        factor = 2.0 * degree * degree / ((2 * j + 1) * abs(a))
+        if factor <= 1.0:
+            break
+        amplification *= factor
+        j += 1
+    return amplification
+
+
+def _fourier_chebyshev(coefs, a):
+    """Integral_0^1 p(s) exp(i a s) ds for p(s) = Sum_k coefs[k] T_k(2 s - 1).
+
+    Returns (value, error_estimate).  The estimate has three parts: the
+    interpolant's last two coefficients (how far p may be from the function
+    it samples), the outer rule's truncation estimate and its rounding
+    floor.  With D = len(coefs) - 1 and c = Sum_k |coefs[k]| >= max |p|:
+
+    * Clenshaw-Curtis on the product.  With w = a/2 the integral is e^{iw}/2
+      times the integral of p(t) e^{iwt} over [-1, 1]; the product is
+      resampled by FFT on N + 1 Lobatto nodes, N >= D + 1.5|w| +
+      PRODUCT_MARGIN a power of two, and integrated term by term,
+      2 c_k / (1 - k^2) over even k.  Truncation: the product's last two
+      coefficients.  Rounding: ROUNDING eps c, since a sum over oscillating
+      samples rounds relative to max |p|, not to the (small) integral.
+      Raises :class:`ConvergenceError` past SAMPLE_CAP nodes.
+    * Integration by parts, Sum_k (-1)^k [p^(k) e^{ias}]_0^1 / (ia)^(k+1),
+      finite for a polynomial, where |a| > BYPARTS_PHASE and its rounding
+      floor ROUNDING A eps c / |a| is the lower one, A being the most a
+      term weighs a coefficient (:func:`_amplification`; A <= 2 once
+      |a| >= D^2).  Summing stops once two consecutive terms fall below that
+      floor, and their sum is the truncation estimate: one small term is not
+      enough, since a term can vanish on its own (for integer beta,
+      K'(0) = K'(1) = 0).
     """
-    aa = abs(a)
-    # full_output suppresses QUADPACK chatter; the callers check the error
-    if aa < 1e-6:
-        parts = [quad(lambda x, trig=trig: trig(aa * x) * envelope(x), 0.0, 1.0,
-                      epsabs=1e-14, epsrel=quad_tol / 2, limit=limit, full_output=1)
-                 for trig in (np.cos, np.sin)]
+    degree = len(coefs) - 1
+    scale = np.finfo(float).eps * np.sum(np.abs(coefs))
+    interpolant = abs(coefs[-2]) + abs(coefs[-1])
+    amplification = _amplification(degree, a)
+    if abs(a) > BYPARTS_PHASE and amplification < abs(a):
+        rounding = ROUNDING * amplification * scale / abs(a)
+        value, truncation = _by_parts(coefs, a, rounding)
     else:
-        parts = [quad(envelope, 0.0, 1.0, weight=weight, wvar=aa, epsabs=1e-16,
-                      epsrel=quad_tol / 2, limit=limit, maxp1=maxp1, full_output=1)
-                 for weight in ("cos", "sin")]
-    (re, ere), (im, eim) = (part[:2] for part in parts)
-    return complex(re, -im if a < 0 else im), ere + eim
+        w = 0.5 * a
+        size = 1 << math.ceil(math.log2(degree + 1.5 * abs(w) + PRODUCT_MARGIN))
+        _check_samples(size + 1)
+        nodes = _lobatto_nodes(size)
+        product = _chebyshev_coefficients(_chebyshev_values(coefs, size) * np.exp(1j * w * nodes))
+        even = np.arange(0, size + 1, 2)
+        value = cmath.exp(1j * w) * (product[::2] @ (1.0 / (1.0 - even * even)))
+        truncation = abs(product[-2]) + abs(product[-1])
+        rounding = ROUNDING * scale
+    return complex(value), float(interpolant + truncation + rounding)
 
 
-# QUADPACK subinterval limit of the transit-amplitude quadrature.
-X_QUAD_INTERVALS = 800
+def _by_parts(coefs, a, floor):
+    """Integration-by-parts series of :func:`_fourier_chebyshev`, summed until
+    two consecutive terms add up to at most ``floor``; returns (value, their sum).
+
+    Term k is -i^(k+1) [e^{ia} p^(k)(1) - p^(k)(0)] / a^(k+1), and the
+    scaled derivatives come from T_n^(k)(1) = prod_{j<k} (n^2 - j^2) /
+    (2j + 1), T_n^(k)(-1) = (-1)^(n+k) T_n^(k)(1), and d/ds = 2 d/dt.
+    """
+    n = np.arange(len(coefs))
+    alternating = coefs * (-1.0) ** n
+    weights = np.ones(len(coefs))  # 2^k T_n^(k)(1) / a^k
+    end = cmath.exp(1j * a)
+    total, last, previous = 0j, math.inf, math.inf
+    for k in range(len(coefs)):
+        right, left = coefs @ weights, alternating @ weights
+        term = -1j * _I_POWERS[k % 4] / a * (end * right - (-1.0) ** k * left)
+        total += term
+        previous, last = last, abs(term)
+        if previous + last <= floor:
+            break
+        weights *= 2.0 * (n * n - k * k) / ((2 * k + 1) * a)
+    return total, previous + last
 
 
 def x_quadrature(setup: ProbeSetup, beta: int, sign: int, quad_tol: float = 1e-10) -> complex:
-    """Transit amplitude by adaptive numerical integration (oracle path).
+    """Transit amplitude by numerical integration (oracle path).
 
-    Integrates the defining oscillatory integral with QUADPACK's sin/cos
-    weighted scheme, independent of :func:`x_closed`.  Each of Re and Im is
-    asked for ``quad_tol / 2``; raises :class:`ConvergenceError` when their
-    summed error estimates exceed ``quad_tol * max(|X|, T)``.
+    Interpolates the envelope sin(b x) on floor(b) + INTERPOLANT_MARGIN + 1
+    Chebyshev-Lobatto nodes and integrates it against exp(i a x) with
+    :func:`_fourier_chebyshev`, independent of :func:`x_closed`.  Raises
+    :class:`ConvergenceError` when the error estimate exceeds
+    ``quad_tol * max(|X|, T)``.
     """
     _check_mode_sign(beta, sign)
-    if quad_tol <= 0:
-        raise ParameterError(f"quad_tol must be positive, got {quad_tol}")
+    _check_quad_tol(quad_tol)
     a, b = _transit_phases(setup, beta, sign)
     T = setup.crossing_time
-    integral, err = _fourier_quad(lambda x: np.sin(b * x), a, quad_tol, X_QUAD_INTERVALS, 100)
+    degree = int(b) + INTERPOLANT_MARGIN
+    _check_samples(degree + 1)
+    nodes = _lobatto_nodes(degree)
+    integral, err = _fourier_chebyshev(_chebyshev_coefficients(np.sin(0.5 * b * (1.0 + nodes))), a)
     value = T * integral / np.sqrt(b)
     err = T * err / np.sqrt(b)
     bound = quad_tol * max(abs(value), T)
@@ -320,7 +441,8 @@ def _mode_sum(setup, terms_of, alpha, policy, modes, kernel, what):
     B starts at the largest of DIRECT_MODES, alpha + 1 and PARTS_ORDER pole
     distances and doubles, up to policy.max_mode, until the tail's error
     bound is at most tail_tol * |total|; a sum that reaches the cap without
-    that warns.  Returns (total, report).
+    that warns.  Raises :class:`ConvergenceError` when the direct sum, the
+    tail or its bound is not finite.  Returns (total, report).
     """
     if modes is not None:
         betas = np.array(sorted({int(b) for b in modes} - {alpha}), dtype=int)
@@ -334,6 +456,11 @@ def _mode_sum(setup, terms_of, alpha, policy, modes, kernel, what):
             betas = np.arange(low, min(low + DIRECT_CHUNK, stop + 1))
             direct = direct + np.sum(terms_of(betas[betas != alpha]))
         tail, bound = _mode_tail(setup, stop + 1, kernel)
+        if not np.isfinite([direct, tail, bound]).all():
+            raise ConvergenceError(
+                f"{what} is not finite: direct sum {direct:.3g} over modes 1..{stop}, "
+                f"tail {tail:.3g}, bound {bound:.3g}"
+            )
         total = direct + tail
         converged = bool(bound <= policy.tail_tol * abs(total))
         if converged or stop == policy.max_mode:

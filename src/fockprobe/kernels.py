@@ -15,18 +15,31 @@ with u = a - b, S(x) = sin(x)/x and r(u) = (u - sin u)/u^2.  As with the
 first-order amplitude this form is algebraically identical to the textbook
 two-term expression (oscillatory ratio plus imaginary pole term) but remains
 stable through the removable singularities a -> +/- b; C(-a) = conj(C(a)).
+
+The oracle :func:`c_quadrature` shares nothing with the closed form: it
+evaluates the overlap K(s) of the two envelopes by Gauss-Legendre at the
+Chebyshev-Lobatto nodes of s and integrates the interpolant against
+exp(i a s) with the Fourier-Chebyshev rule of :mod:`.amplitudes`
+(Clenshaw-Curtis on the product, or the by-parts series at large |a|).
 """
 
 from __future__ import annotations
 
+import math
+from functools import cache
+
 import numpy as np
-from scipy.integrate import quad
 
 from .amplitudes import (
+    INTERPOLANT_MARGIN,
     ConvergenceError,
     _check_mode_sign,
+    _check_quad_tol,
+    _check_samples,
+    _chebyshev_coefficients,
     _closed_array,
-    _fourier_quad,
+    _fourier_chebyshev,
+    _lobatto_nodes,
     _mode_sum,
     _sinc,
     _transit_phases,
@@ -69,8 +82,33 @@ def c_closed(setup: ProbeSetup, beta: int, sign: int) -> complex:
     return complex(_closed_array(setup, np.array([beta]), sign, _reduced_kernel, 2)[0])
 
 
-# QUADPACK subinterval limit of the outer kernel quadrature.
-C_QUAD_INTERVALS = 3000
+# Gauss-Legendre nodes of the inner overlap rule, and the most phase b (1 - s)
+# one application of it spans; longer overlaps are split into equal panels.
+INNER_NODES = 96
+INNER_PHASE = 64.0
+
+
+@cache
+def _inner_rule():
+    return np.polynomial.legendre.leggauss(INNER_NODES)
+
+
+def _overlap(b, s):
+    """K(s) = Integral_0^{1-s} sin(b(r+s)) sin(br) dr at every s, by Gauss-Legendre.
+
+    ceil(b / INNER_PHASE) equal panels of INNER_NODES nodes each: on a panel
+    the integrand's fastest phase in the panel variable, b (1 - s) / panels,
+    stays within INNER_PHASE radians, where a rule exact to degree 191 errs
+    far below rounding.
+    """
+    tau, weights = _inner_rule()
+    panels = math.ceil(b / INNER_PHASE)
+    length = (1.0 - s)[:, None] / panels
+    total = np.zeros(len(s))
+    for panel in range(panels):
+        r = length * (panel + 0.5 * (1.0 + tau))
+        total += (np.sin(b * (r + s[:, None])) * np.sin(b * r)) @ weights
+    return 0.5 * length[:, 0] * total
 
 
 def c_quadrature(setup: ProbeSetup, beta: int, sign: int, quad_tol: float = 1e-9) -> complex:
@@ -81,31 +119,21 @@ def c_quadrature(setup: ProbeSetup, beta: int, sign: int, quad_tol: float = 1e-9
         C = T^2 * Integral_0^1 ds exp(i a s) K(s),
         K(s) = Integral_0^{1-s} sin(b(r+s)) sin(br) dr,
 
-    then integrates the outer oscillation with QUADPACK's weighted scheme and
-    the slow inner overlap numerically, independent of the closed form.  Each
-    of Re and Im is asked for ``quad_tol / 2``, so that their summed error
-    estimates meet the check: :class:`ConvergenceError` when they exceed
+    evaluates the overlap K by Gauss-Legendre (:func:`_overlap`) on the
+    floor(2b) + INTERPOLANT_MARGIN + 1 Chebyshev-Lobatto nodes, and
+    integrates its interpolant against exp(i a s) with
+    ``amplitudes._fourier_chebyshev``, independent of the closed form.
+    Raises :class:`ConvergenceError` when the error estimate exceeds
     ``quad_tol * max(|C|, 1e-3 T^2)``.
     """
     _check_mode_sign(beta, sign)
-    if quad_tol <= 0:
-        raise ParameterError(f"quad_tol must be positive, got {quad_tol}")
+    _check_quad_tol(quad_tol)
     T = setup.crossing_time
     a, b = _transit_phases(setup, beta, sign)
-    inner_limit = 60 + 10 * beta
-
-    def K(s):
-        val, _ = quad(
-            lambda r: np.sin(b * (r + s)) * np.sin(b * r),
-            0.0,
-            1.0 - s,
-            epsabs=1e-14,
-            epsrel=1e-12,
-            limit=inner_limit,
-        )
-        return val
-
-    integral, err = _fourier_quad(K, a, quad_tol, C_QUAD_INTERVALS, 120)
+    degree = int(2.0 * b) + INTERPOLANT_MARGIN
+    _check_samples((degree + 1) * INNER_NODES)
+    s = 0.5 * (1.0 + _lobatto_nodes(degree))
+    integral, err = _fourier_chebyshev(_chebyshev_coefficients(_overlap(b, s)), a)
     value = T * T * integral
     err = T * T * err
     bound = quad_tol * max(abs(value), T * T * 1e-3)

@@ -48,7 +48,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 from scipy import sparse
 
-from .amplitudes import ConvergenceError
+from .amplitudes import ConvergenceError, _chebyshev_coefficients, _lobatto_nodes
 from .model import (
     FieldPreparation,
     ParameterError,
@@ -228,8 +228,8 @@ def _chebyshev_panel(degree: int):
     """Lobatto nodes x on [-1, 1], the matrix S with int_{-1}^{x_i} f = Sum_j S_ij f(x_j)
     for the interpolant of degree ``degree``, and the rows giving its last two
     Chebyshev coefficients; built once per process, on first use."""
-    nodes = np.sin(np.pi * np.arange(-degree, degree + 1, 2) / (2 * degree))
-    to_coefficients = np.linalg.inv(chebyshev.chebvander(nodes, degree))
+    nodes = _lobatto_nodes(degree)
+    to_coefficients = _chebyshev_coefficients(np.eye(degree + 1))
     antiderivatives = chebyshev.chebint(np.eye(degree + 1), lbnd=-1)
     integrate = chebyshev.chebval(nodes, antiderivatives).T @ to_coefficients
     integrate[0] = 0.0  # the panel's left end

@@ -599,6 +599,34 @@ def test_overflowing_coupling_is_a_configuration_error(tmp_path, capsys, command
     assert not out.exists()
 
 
+# A gap of 1e300 with no coupling passes every configuration check, but the
+# transit phases reach 1e303 and the mode-sum tail turns NaN.
+@pytest.mark.parametrize("command", ["phase", "transition"])
+def test_non_finite_mode_sum_is_a_numerical_failure(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {"units.mode": "natural", "cavity.length": "1",
+                                  "atom.speed": "1e-3", "atom.gap": "1e300",
+                                  "atom.coupling_ratio": "0", "field.mode": "2",
+                                  "field.photons": "1"})
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--output", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert "not finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["amplitudes", "kernels"])
+@pytest.mark.parametrize("quad_tol", ["nan", "inf"])
+def test_non_finite_quad_tol_is_a_configuration_error(tmp_path, capsys, command, quad_tol):
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(write_config(tmp_path, FAST_LINES)), "--mode", "1",
+                 "--quadrature-check", "--quad-tol", quad_tol, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "quad_tol" in err
+    assert not out.exists()
+
+
 def test_phase_manifest_reports_both_mode_sums(tmp_path):
     # at v = 0.2005 the vacuum sum needs B = 1024, the kernel sum B = 512
     lines = {**NATURAL_BASE, "atom.speed": "0.2005", "field.photons": "1"}
