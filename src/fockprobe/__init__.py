@@ -32,7 +32,6 @@ from .model import (
     ParameterError,
     ProbeSetup,
     ProbeWarning,
-    TruncationPolicy,
     TruncationReport,
     build_setup,
     prepare_field,
@@ -82,7 +81,6 @@ __all__ = [
     "ResolvedConfig",
     "SPEED_OF_LIGHT",
     "TransitionBreakdown",
-    "TruncationPolicy",
     "TruncationReport",
     "build_hamiltonian",
     "build_setup",

@@ -30,15 +30,7 @@ import warnings
 import numpy as np
 from scipy.special import zeta
 
-from .model import (
-    DEFAULT_POLICY,
-    FieldPreparation,
-    ParameterError,
-    ProbeSetup,
-    ProbeWarning,
-    TruncationPolicy,
-    TruncationReport,
-)
+from .model import ParameterError, ProbeSetup, ProbeWarning, TruncationReport
 
 
 class ConvergenceError(RuntimeError):
@@ -295,11 +287,12 @@ def x_detuned_leading(setup: ProbeSetup, alpha: int, delta: float) -> complex:
 
 
 # Modes summed directly before the tails take over (at least alpha + 1 and
-# PARTS_ORDER pole distances), the most modes evaluated in one array, the
-# Laurent order of the rational tails and the largest summation-by-parts
-# order of the oscillating tail.
+# PARTS_ORDER pole distances), the cap on them, the bound on the tail's
+# error relative to the sum, the Laurent order of the rational tails and the
+# largest summation-by-parts order of the oscillating tail.
 DIRECT_MODES = 32
-DIRECT_CHUNK = 1 << 15
+MAX_MODE = 10_000
+TAIL_TOL = 1e-10
 LAURENT_ORDER = 24
 PARTS_ORDER = 12
 _POWERS = np.arange(LAURENT_ORDER)
@@ -433,28 +426,29 @@ def _mode_tail(setup: ProbeSetup, first, kernel):
     return T * T * tail, T * T * bound
 
 
-def _mode_sum(setup, terms_of, alpha, policy, modes, kernel, what):
+def _mode_sum(setup, terms_of, alpha, modes, kernel, what):
     """Sum ``terms_of(betas)`` over the modes beta != alpha to infinity.
 
     With ``modes`` given, sums exactly those modes.  Otherwise sums modes
     1..B directly and adds the exact tail beyond B (:func:`_mode_tail`).
     B starts at the largest of DIRECT_MODES, alpha + 1 and PARTS_ORDER pole
-    distances and doubles, up to policy.max_mode, until the tail's error
-    bound is at most tail_tol * |total|; a sum that reaches the cap without
-    that warns.  Raises :class:`ConvergenceError` when the direct sum, the
-    tail or its bound is not finite.  Returns (total, report).
+    distances and doubles, up to MAX_MODE, until the tail's error bound is
+    at most TAIL_TOL * |total|; a sum that reaches the cap without that
+    warns.  Raises :class:`ParameterError` when alpha >= MAX_MODE (the tail
+    beyond B would hold mode alpha), and :class:`ConvergenceError` when the
+    direct sum, the tail or its bound is not finite.  Returns (total, report).
     """
     if modes is not None:
         betas = np.array(sorted({int(b) for b in modes} - {alpha}), dtype=int)
         return np.sum(terms_of(betas)), TruncationReport(len(betas), 0.0, True)
-    policy.check_covers(FieldPreparation(mode=alpha, photons=0))
+    if alpha >= MAX_MODE:
+        raise ParameterError(f"probed mode {alpha} must lie below MAX_MODE = {MAX_MODE}")
     reach = math.ceil(-PARTS_ORDER * _pole_positions(setup)[1])
-    stop = min(max(DIRECT_MODES, alpha + 1, reach), policy.max_mode)
+    stop = min(max(DIRECT_MODES, alpha + 1, reach), MAX_MODE)
     direct, start = 0.0, 1
     while True:
-        for low in range(start, stop + 1, DIRECT_CHUNK):
-            betas = np.arange(low, min(low + DIRECT_CHUNK, stop + 1))
-            direct = direct + np.sum(terms_of(betas[betas != alpha]))
+        betas = np.arange(start, stop + 1)
+        direct = direct + np.sum(terms_of(betas[betas != alpha]))
         tail, bound = _mode_tail(setup, stop + 1, kernel)
         if not np.isfinite([direct, tail, bound]).all():
             raise ConvergenceError(
@@ -462,14 +456,14 @@ def _mode_sum(setup, terms_of, alpha, policy, modes, kernel, what):
                 f"tail {tail:.3g}, bound {bound:.3g}"
             )
         total = direct + tail
-        converged = bool(bound <= policy.tail_tol * abs(total))
-        if converged or stop == policy.max_mode:
+        converged = bool(bound <= TAIL_TOL * abs(total))
+        if converged or stop == MAX_MODE:
             break
-        start, stop = stop + 1, min(2 * stop, policy.max_mode)
+        start, stop = stop + 1, min(2 * stop, MAX_MODE)
     if not converged:
         warnings.warn(
-            f"{what} hit max_mode={policy.max_mode} before its tail bound "
-            f"{bound:.3g} met tail_tol={policy.tail_tol:g} relative "
+            f"{what} hit max_mode={MAX_MODE} before its tail bound "
+            f"{bound:.3g} met tail_tol={TAIL_TOL:g} relative "
             f"(tail added {abs(tail):.3g})",
             ProbeWarning,
             stacklevel=3,
@@ -477,21 +471,16 @@ def _mode_sum(setup, terms_of, alpha, policy, modes, kernel, what):
     return total, TruncationReport(stop, float(abs(tail)), converged, float(bound))
 
 
-def counter_rotating_mode_sum(
-    setup: ProbeSetup,
-    alpha: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-    modes=None,
-):
+def counter_rotating_mode_sum(setup: ProbeSetup, alpha: int, modes=None):
     """Vacuum-fluctuation sum over modes beta != alpha of |X_{+,beta}|^2.
 
     Summed to infinity: modes 1..B directly, the rest as an exact tail (see
-    :func:`_mode_sum`); warns when B reaches ``policy.max_mode`` before the
-    tail's error bound meets ``policy.tail_tol`` relative.  With ``modes``
-    given, sums exactly those modes.  Returns (value, TruncationReport).
+    :func:`_mode_sum`); warns when B reaches MAX_MODE before the tail's
+    error bound meets TAIL_TOL relative.  With ``modes`` given, sums exactly
+    those modes.  Returns (value, TruncationReport).
     """
     total, report = _mode_sum(
         setup, lambda betas: np.abs(_closed_array(setup, betas, +1)) ** 2,
-        alpha, policy, modes, False, "transition mode sum",
+        alpha, modes, False, "transition mode sum",
     )
     return float(total), report

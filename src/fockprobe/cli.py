@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Every subcommand reads a config file (see configs/ for samples; ``sweep``
-also takes a --preset), writes CSV to --output (or stdout), and -- when
+may take a --preset instead), writes CSV to --output (or stdout), and -- when
 writing to a file -- drops a JSON manifest next to it recording the resolved
 configuration and all warnings.  The warnings also go to stderr unless
---quiet is given.  ``main`` resolves the configuration and applies the
-validity guard once, at the largest photon number the subcommand evaluates
-(for a sweep, at the row with the largest estimator), before handing both to
-the subcommand.  Exit codes: 0 success, 1
-configuration error, 2 numerical failure, 3 validity-guard violation.
+--quiet is given.  Only ``sweep`` accepts ``sweep.*`` keys.  ``main``
+resolves the configuration and applies the validity guard once, at the
+largest photon number the subcommand evaluates (for a sweep, at the row
+with the largest estimator), before handing both to the subcommand.  Exit
+codes: 0 success, 1 configuration error, 2 numerical failure, 3
+validity-guard violation.
 """
 
 from __future__ import annotations
@@ -135,7 +136,11 @@ def _resolution_grid(args):
     """The photon differences and the n grid of ``resolution``."""
     if args.n_step < 1:
         raise ConfigError(f"--n-step must be positive, got {args.n_step}")
+    if args.n_max < 0:
+        raise ConfigError(f"--n-max must be non-negative, got {args.n_max}")
     m_list = sorted(set(args.m)) if args.m else [1]
+    if m_list[0] < 1:
+        raise ConfigError(f"--m must be a positive integer, got {m_list[0]}")
     n_range = range(0, args.n_max + 1, args.n_step)
     if len(n_range) * len(m_list) > MAX_SWEEP_ROWS:
         raise ConfigError(
@@ -214,7 +219,7 @@ def _cmd_kernels(args, resolved, caught) -> int:
                 rows.append([beta, f"{sign:+d}", closed.real, closed.imag, "", ""])
     extra = None
     if args.mode_sum:
-        total, report = mode_sum_offres(resolved.setup, resolved.prep, resolved.policy)
+        total, report = mode_sum_offres(resolved.setup, resolved.prep)
         extra = {"mode_sum": {"re": total.real, "im": total.imag, **report.as_dict()}}
         if not args.quiet:
             sys.stderr.write(
@@ -228,7 +233,7 @@ def _cmd_kernels(args, resolved, caught) -> int:
 
 
 def _cmd_transition(args, resolved, caught) -> int:
-    breakdown = transition_probability(resolved.setup, resolved.prep, resolved.policy)
+    breakdown = transition_probability(resolved.setup, resolved.prep)
     header = ["p_excite", "rotating", "counter_rotating", "vacuum"]
     rows = [[breakdown.total, breakdown.rotating, breakdown.counter_rotating,
              breakdown.vacuum]]
@@ -238,7 +243,7 @@ def _cmd_transition(args, resolved, caught) -> int:
 
 
 def _cmd_phase(args, resolved, caught) -> int:
-    outcome = probe_outcome(resolved.setup, resolved.prep, resolved.policy)
+    outcome = probe_outcome(resolved.setup, resolved.prep)
     header = ["p_excite", "gamma", "visibility", "validity"]
     rows = [[outcome.p_excite, outcome.gamma, outcome.visibility, outcome.validity]]
     write_outputs(args.output, header, rows, resolved, "phase", _messages(caught),
@@ -249,11 +254,9 @@ def _cmd_phase(args, resolved, caught) -> int:
 
 def _cmd_resolution(args, resolved, caught) -> int:
     m_list, n_range = _resolution_grid(args)
-    rows = resolution_curve(resolved.setup, resolved.prep.mode, m_list, n_range,
-                            resolved.policy)
+    rows = resolution_curve(resolved.setup, resolved.prep.mode, m_list, n_range)
     threshold = resolution_threshold(resolved.setup, resolved.prep.mode,
-                                     resolution_floor=args.floor,
-                                     policy=resolved.policy)
+                                     resolution_floor=args.floor)
     header = ["n", "m", "delta_gamma"]
     if not args.quiet:
         sys.stderr.write(
@@ -271,8 +274,7 @@ def _cmd_fringe(args, resolved, caught) -> int:
     header = ["phi", "p_plus", "p_minus"]
     rows = []
     for phi in phis:
-        p_plus, p_minus = fringe(resolved.setup, resolved.prep, unknown, phi,
-                                 resolved.policy)
+        p_plus, p_minus = fringe(resolved.setup, resolved.prep, unknown, phi)
         rows.append([phi, p_plus, p_minus])
     write_outputs(args.output, header, rows, resolved, "fringe", _messages(caught),
                   {"unknown_photons": args.unknown_photons}, args.quiet)
@@ -280,7 +282,7 @@ def _cmd_fringe(args, resolved, caught) -> int:
 
 
 def _cmd_verify(args, resolved, caught) -> int:
-    setup, prep, policy = resolved.setup, resolved.prep, resolved.policy
+    setup, prep = resolved.setup, resolved.prep
     if args.scan:
         rows_dicts, converged = convergence_scan(setup, prep, args.scan,
                                                  integ_tol=args.tol,
@@ -297,8 +299,8 @@ def _cmd_verify(args, resolved, caught) -> int:
                                    others_max=args.others_max)
         kept = [b for b, _ in trunc.modes]
         result = evolve(setup, prep, trunc, integ_tol=args.tol)
-        pert_p = transition_probability(setup, prep, policy, modes=kept).total
-        phase = eta_phase(setup, prep, policy, modes=kept)
+        pert_p = transition_probability(setup, prep, modes=kept).total
+        phase = eta_phase(setup, prep, modes=kept)
         pairs = [
             ("p_excite", pert_p, result.p_excite_numeric),
             ("gamma", phase.gamma, result.eta_numeric.real),
@@ -371,11 +373,16 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if getattr(args, "preset", None):
+                if args.config is not None:
+                    raise ConfigError("give --preset or --config, not both")
                 resolved = resolve_mapping(PRESETS[args.preset])
             elif args.config is not None:
                 resolved = parse_config(args.config)
             else:
                 raise ConfigError("this command needs --config")
+            if resolved.sweep is not None and args.command != "sweep":
+                raise ConfigError(f"{args.command} reads no sweep.* keys; remove them "
+                                  "or run sweep")
             code = _guard_validity(args, resolved)
             if code == EXIT_OK:
                 code = _HANDLERS[args.command](args, resolved, caught)

@@ -17,7 +17,6 @@ from .model import (
     FieldPreparation,
     ParameterError,
     ProbeSetup,
-    TruncationPolicy,
     build_setup,
     prepare_field,
 )
@@ -45,8 +44,6 @@ KNOWN_KEYS = {
     "field.mode": ("int", True),
     "field.photons": ("int", True),
     "field.detuning": ("float", False),
-    "truncation.max_mode": ("int", False),
-    "truncation.tail_tol": ("float", False),
     "sweep.variable": ("str", False),
     "sweep.start": ("float", False),
     "sweep.stop": ("float", False),
@@ -73,7 +70,6 @@ class ResolvedConfig:
 
     setup: ProbeSetup
     prep: FieldPreparation
-    policy: TruncationPolicy
     sweep: SweepRequest | None
     resolved: dict
     defaults_applied: dict
@@ -192,11 +188,6 @@ def resolve_mapping(mapping: dict) -> ResolvedConfig:
                 unit_mode=unit_mode,
             )
         prep = prepare_field(setup, mode, photons)
-        policy = TruncationPolicy(
-            max_mode=get("truncation.max_mode", 10_000),
-            tail_tol=get("truncation.tail_tol", 1e-10),
-        )
-        policy.check_covers(prep)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -207,7 +198,6 @@ def resolve_mapping(mapping: dict) -> ResolvedConfig:
     return ResolvedConfig(
         setup=setup,
         prep=prep,
-        policy=policy,
         sweep=sweep,
         resolved=resolved,
         defaults_applied=defaults,

@@ -44,13 +44,7 @@ from .amplitudes import (
     _sinc,
     _transit_phases,
 )
-from .model import (
-    DEFAULT_POLICY,
-    FieldPreparation,
-    ParameterError,
-    ProbeSetup,
-    TruncationPolicy,
-)
+from .model import FieldPreparation, ParameterError, ProbeSetup
 
 
 def _sin_deficit(u):
@@ -157,25 +151,20 @@ def c_resonant_nonrel(setup: ProbeSetup, alpha: int) -> complex:
     return 1j * L * L / (4.0 * np.pi * alpha * c * v)
 
 
-def mode_sum_offres(
-    setup: ProbeSetup,
-    prep: FieldPreparation,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-    modes=None,
-):
+def mode_sum_offres(setup: ProbeSetup, prep: FieldPreparation, modes=None):
     """Off-resonant kernel sum  Sum_{beta != alpha} conj(C_{+,beta}) / (k_beta L).
 
     The n-independent second-order contribution to the survival amplitude,
     summed to infinity: modes 1..B directly, the rest as an exact tail (its
     rational part by Hurwitz zeta values, its oscillating part by summation
     by parts; see ``amplitudes._mode_sum``).  Warns when B reaches
-    ``policy.max_mode`` before the tail's error bound meets
-    ``policy.tail_tol`` relative.  With ``modes`` given, sums exactly those
-    modes.  Returns (value, TruncationReport).
+    ``amplitudes.MAX_MODE`` before the tail's error bound meets
+    ``amplitudes.TAIL_TOL`` relative.  With ``modes`` given, sums exactly
+    those modes.  Returns (value, TruncationReport).
     """
     total, report = _mode_sum(
         setup, lambda betas: np.conj(_closed_array(setup, betas, +1, _reduced_kernel, 2))
         / (betas * np.pi),
-        prep.mode, policy, modes, True, "off-resonant kernel sum",
+        prep.mode, modes, True, "off-resonant kernel sum",
     )
     return complex(total), report

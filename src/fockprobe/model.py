@@ -2,7 +2,9 @@
 
 Everything downstream (amplitudes, kernels, observables, oracle) consumes a
 validated :class:`ProbeSetup` plus a :class:`FieldPreparation`.  The setup is
-immutable and safe to share across threads.
+immutable and safe to share across threads.  A mode sum takes no settings
+(its cap and tolerance are constants of :mod:`.amplitudes`) and says how it
+was closed in a :class:`TruncationReport`.
 
 Unit conventions: any consistent unit system works.  ``unit_mode="SI"`` means
 meters/seconds with the physical speed of light; ``unit_mode="natural"`` fixes
@@ -204,42 +206,13 @@ def prepare_field(setup: ProbeSetup, mode: int, photons: int) -> FieldPreparatio
 
 
 @dataclass(frozen=True)
-class TruncationPolicy:
-    """Controls for the infinite mode sums.
-
-    max_mode caps the number B of directly summed modes; tail_tol bounds the
-    error of the exact tail added beyond B, relative to the sum.
-    """
-
-    max_mode: int = 10_000
-    tail_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.max_mode < 1:
-            raise ParameterError(f"max_mode must be >= 1, got {self.max_mode}")
-        if self.tail_tol <= 0:
-            raise ParameterError(f"tail_tol must be positive, got {self.tail_tol}")
-
-    def check_covers(self, prep: FieldPreparation) -> None:
-        """A usable policy must sum past the probed mode."""
-        if self.max_mode < prep.mode + 1:
-            raise ParameterError(
-                f"max_mode ({self.max_mode}) must be at least probed mode + 1 "
-                f"({prep.mode + 1})"
-            )
-
-
-DEFAULT_POLICY = TruncationPolicy()
-
-
-@dataclass(frozen=True)
 class TruncationReport:
     """How a mode sum was closed.
 
     modes_evaluated is the number B of directly summed modes (or of the
     explicit modes), tail_estimate the magnitude of the tail added beyond B,
     error_bound the bound on that tail's error, and converged whether the
-    bound is at most tail_tol times the sum.
+    bound is at most ``amplitudes.TAIL_TOL`` times the sum.
     """
 
     modes_evaluated: int

@@ -23,12 +23,10 @@ import numpy as np
 from .amplitudes import counter_rotating_mode_sum, x_closed
 from .kernels import c_closed, mode_sum_offres
 from .model import (
-    DEFAULT_POLICY,
     FieldPreparation,
     ParameterError,
     ProbeSetup,
     ProbeWarning,
-    TruncationPolicy,
     TruncationReport,
 )
 
@@ -96,19 +94,19 @@ class TransitionBreakdown:
 def transition_probability(
     setup: ProbeSetup,
     prep: FieldPreparation,
-    policy: TruncationPolicy = DEFAULT_POLICY,
     modes=None,
 ) -> TransitionBreakdown:
     """Excitation probability lambda^2 [ |X-|^2 n + |X+|^2 (n+1) + vacuum sum ].
 
     ``modes`` restricts the vacuum sum to an explicit mode set (used when
-    comparing against a truncated evolution); otherwise the sum is adaptive
-    under ``policy``.  Warns when the result exceeds the perturbative guard.
+    comparing against a truncated evolution); otherwise the sum runs to
+    infinity (:func:`.amplitudes.counter_rotating_mode_sum`).  Warns when the
+    result exceeds the perturbative guard.
     """
     lam2 = setup.coupling**2
     xm2 = abs(x_closed(setup, prep.mode, -1)) ** 2
     xp2 = abs(x_closed(setup, prep.mode, +1)) ** 2
-    vac, report = counter_rotating_mode_sum(setup, prep.mode, policy, modes=modes)
+    vac, report = counter_rotating_mode_sum(setup, prep.mode, modes=modes)
     rotating = float(lam2 * xm2 * prep.photons)
     counter = float(lam2 * xp2 * (prep.photons + 1))
     vacuum = float(lam2 * vac)
@@ -137,18 +135,13 @@ class PhaseComponents:
     report: TruncationReport
 
 
-def phase_components(
-    setup: ProbeSetup,
-    alpha: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-    modes=None,
-) -> PhaseComponents:
+def phase_components(setup: ProbeSetup, alpha: int, modes=None) -> PhaseComponents:
     """Evaluate the kernel combinations once; reuse across photon numbers."""
     kL = alpha * math.pi
     cm = c_closed(setup, alpha, -1) / kL
     cp = np.conj(c_closed(setup, alpha, +1)) / kL
     prep = FieldPreparation(mode=alpha, photons=0)
-    total, report = mode_sum_offres(setup, prep, policy, modes=modes)
+    total, report = mode_sum_offres(setup, prep, modes=modes)
     return PhaseComponents(complex(cm), complex(cp), complex(total), report)
 
 
@@ -207,18 +200,13 @@ class EtaPhase:
     report: TruncationReport
 
 
-def eta_phase(
-    setup: ProbeSetup,
-    prep: FieldPreparation,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-    modes=None,
-) -> EtaPhase:
+def eta_phase(setup: ProbeSetup, prep: FieldPreparation, modes=None) -> EtaPhase:
     """Principal-branch eta = -i Ln A(n) with gamma = Re eta, visibility = exp(-|Im eta|).
 
     Raises :class:`BranchError` if the amplitude's real part is non-positive;
     warns when |eta| > pi/2.
     """
-    comps = phase_components(setup, prep.mode, policy, modes)
+    comps = phase_components(setup, prep.mode, modes)
     amplitude = survival_amplitude(comps, setup, prep.photons)
     eta, visibility, failed = eta_rows([amplitude])
     if failed:
@@ -240,17 +228,12 @@ class ProbeOutcome:
     phase: EtaPhase
 
 
-def probe_outcome(
-    setup: ProbeSetup,
-    prep: FieldPreparation,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-    modes=None,
-) -> ProbeOutcome:
+def probe_outcome(setup: ProbeSetup, prep: FieldPreparation, modes=None) -> ProbeOutcome:
     """Bundle transition probability, phase, visibility and validity."""
     val = validity(setup, prep)
     _warn_validity(val)
-    trans = transition_probability(setup, prep, policy, modes)
-    phase = eta_phase(setup, prep, policy, modes)
+    trans = transition_probability(setup, prep, modes)
+    phase = eta_phase(setup, prep, modes)
     return ProbeOutcome(
         p_excite=trans.total,
         eta=phase.eta,
@@ -289,7 +272,6 @@ def delta_gamma_exact(
     alpha: int,
     n: int,
     m: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
     modes=None,
     components: PhaseComponents | None = None,
 ) -> float:
@@ -299,7 +281,7 @@ def delta_gamma_exact(
     subtracting two separately rounded phases at small coupling.  Pass
     ``components`` to reuse kernel evaluations across rows.
     """
-    comps = components if components is not None else phase_components(setup, alpha, policy, modes)
+    comps = components if components is not None else phase_components(setup, alpha, modes)
     delta_gamma, failed = delta_gamma_rows(comps, setup, [n], [m])
     if failed:
         raise BranchError(failed[0])
@@ -320,13 +302,7 @@ def delta_gamma_linear(setup: ProbeSetup, alpha: int, m: int) -> float:
     return lam * lam * L * L * m / (4.0 * math.pi**2 * alpha**2 * c * v)
 
 
-def resolution_curve(
-    setup: ProbeSetup,
-    alpha: int,
-    m_list,
-    n_range,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-):
+def resolution_curve(setup: ProbeSetup, alpha: int, m_list, n_range):
     """Rows (n, m, delta_gamma) over a photon-number grid.
 
     Rows are ordered by n then m.  A row whose phase extraction fails the
@@ -334,33 +310,28 @@ def resolution_curve(
     """
     keys = [(int(n), int(m)) for n in n_range for m in m_list]
     n, m = np.array(keys, dtype=float).reshape(-1, 2).T
-    delta_gamma, failed = delta_gamma_rows(phase_components(setup, alpha, policy), setup, n, m)
+    delta_gamma, failed = delta_gamma_rows(phase_components(setup, alpha), setup, n, m)
     for row, message in failed.items():
         warnings.warn(f"row (n={keys[row][0]}, m={keys[row][1]}): {message}", ProbeWarning,
                       stacklevel=2)
     return [(n, m, dg) for (n, m), dg in zip(keys, delta_gamma.tolist())]
 
 
-def resolution_threshold(
-    setup: ProbeSetup,
-    alpha: int,
-    resolution_floor: float = 1e-4,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-):
+def resolution_threshold(setup: ProbeSetup, alpha: int, resolution_floor: float = 1e-4):
     """Largest n with delta_1 gamma(n) >= resolution_floor, or None if already below at n=0.
 
     Uses the monotone decrease of the single-photon phase difference; the scan
     stops at RESOLUTION_N_CAP or at the branch-guard boundary, whichever
     comes first.
     """
-    comps = phase_components(setup, alpha, policy)
+    comps = phase_components(setup, alpha)
 
     def above(n):
         # a row past the branch guard is NaN, which counts as below the floor
         delta_gamma, _ = delta_gamma_rows(comps, setup, [n], [1])
         return delta_gamma[0] >= resolution_floor
 
-    if delta_gamma_exact(setup, alpha, 0, 1, policy, components=comps) < resolution_floor:
+    if delta_gamma_exact(setup, alpha, 0, 1, components=comps) < resolution_floor:
         return None
     lo, hi = 0, 1
     while hi <= RESOLUTION_N_CAP:
@@ -385,7 +356,6 @@ def fringe(
     prep_known: FieldPreparation,
     prep_unknown: FieldPreparation,
     reference_phase: float = 0.0,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ):
     """Balanced two-port interferometer outputs for the two cavity arms.
 
@@ -397,7 +367,7 @@ def fringe(
     preps = (prep_known, prep_unknown)
     for prep in preps:
         _warn_validity(validity(setup, prep))
-    comps = {mode: phase_components(setup, mode, policy)
+    comps = {mode: phase_components(setup, mode)
              for mode in dict.fromkeys(prep.mode for prep in preps)}
     a_known, a_unknown = (survival_amplitude(comps[prep.mode], setup, prep.photons)
                           for prep in preps)

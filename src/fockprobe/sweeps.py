@@ -69,7 +69,7 @@ def _rebuilt_amplitudes(resolved: ResolvedConfig):
         except ConfigError as exc:
             failed[row] = str(exc)
             continue
-        comps = phase_components(point.setup, point.prep.mode, point.policy)
+        comps = phase_components(point.setup, point.prep.mode)
         amplitudes[row] = survival_amplitude(comps, point.setup, point.prep.photons)
         validities[row] = validity(point.setup, point.prep)
     return amplitudes, validities, failed
@@ -108,7 +108,7 @@ def compute_rows(resolved: ResolvedConfig):
     request, setup, prep = resolved.sweep, resolved.setup, resolved.prep
     if request is None:
         raise ConfigError("configuration defines no sweep.* keys")
-    comps = phase_components(setup, prep.mode, resolved.policy)
+    comps = phase_components(setup, prep.mode)
     if request.variable == "m":
         header = ["m", "delta_gamma", "status"]
         keys = [(m,) for m in request.values]

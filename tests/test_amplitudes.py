@@ -10,6 +10,7 @@ from conftest import random_setup
 from fockprobe import (
     ConvergenceError,
     ParameterError,
+    amplitudes,
     build_setup,
     counter_rotating_mode_sum,
     x_closed,
@@ -19,7 +20,7 @@ from fockprobe import (
 )
 from fockprobe.amplitudes import _closed_array, _reduced_amplitude, _transit_phases
 from fockprobe.kernels import _reduced_kernel
-from fockprobe.model import TruncationPolicy, TruncationReport
+from fockprobe.model import TruncationReport
 
 
 def resonant(alpha, speed=1e-3, length=1.0, detuning=0.0):
@@ -175,14 +176,15 @@ def test_quadrature_reports_convergence_failure():
         x_quadrature(setup, 9, +1, quad_tol=1e-18)
 
 
-def test_counter_rotating_mode_sum_explicit_vs_adaptive():
+def test_counter_rotating_mode_sum_explicit_vs_adaptive(monkeypatch):
     setup = resonant(2)
     explicit, report = counter_rotating_mode_sum(setup, 2, modes=[1, 2, 3, 4, 5])
     manual = sum(x_mod_squared(setup, b, +1) for b in (1, 3, 4, 5))
     assert explicit == pytest.approx(manual, rel=1e-14)
     assert report.converged and report.tail_estimate == 0.0
-    policy = TruncationPolicy(max_mode=4000, tail_tol=1e-8)
-    adaptive, rep = counter_rotating_mode_sum(setup, 2, policy)
+    monkeypatch.setattr(amplitudes, "MAX_MODE", 4000)
+    monkeypatch.setattr(amplitudes, "TAIL_TOL", 1e-8)
+    adaptive, rep = counter_rotating_mode_sum(setup, 2)
     assert adaptive > explicit
     assert rep.converged
 

@@ -27,14 +27,25 @@ def test_minimal_config_fills_defaults(tmp_path):
     assert resolved.defaults_applied["atom.resonant_with_mode"] == 2
     assert resolved.defaults_applied["atom.speed"] == 1000.0
     assert resolved.defaults_applied["atom.coupling_ratio"] == 1e-4
-    assert resolved.policy.max_mode == 10_000
-    assert "truncation.tail_tol" in resolved.defaults_applied
     assert resolved.sweep is None
 
 
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         read_config_text("cavity.lenght = 1e-6\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("truncation.max_mode", "10000"),
+    ("truncation.tail_tol", "1e-10"),
+])
+def test_truncation_keys_are_unknown(key, value):
+    # the mode sums run to infinity under constants of fockprobe.amplitudes
+    with pytest.raises(ConfigError, match="unknown key"):
+        read_config_text(MINIMAL + f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        resolve_mapping({"cavity.length": 1e-6, "field.mode": 2, "field.photons": 1,
+                         key: value})
 
 
 def test_duplicate_key_rejected():
@@ -148,8 +159,8 @@ def test_scaled_configs_agree_on_dimensionless_output():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        gamma_a = eta_phase(natural.setup, natural.prep, natural.policy).gamma
-        gamma_b = eta_phase(si.setup, si.prep, si.policy).gamma
+        gamma_a = eta_phase(natural.setup, natural.prep).gamma
+        gamma_b = eta_phase(si.setup, si.prep).gamma
     assert gamma_a == pytest.approx(gamma_b, rel=1e-9)
 
 
@@ -157,7 +168,7 @@ def test_scaled_configs_agree_on_dimensionless_output():
     ("field.photons", 2.5, "not an integer"),
     ("field.photons", float("inf"), "not finite"),
     ("field.photons", float("nan"), "not finite"),
-    ("truncation.max_mode", 10000.5, "not an integer"),
+    ("atom.resonant_with_mode", 2.5, "not an integer"),
     ("sweep.m_values", (1.0, float("inf")), "not finite"),
     ("units.mode", 5, "not a string"),
 ])

@@ -8,6 +8,7 @@ from conftest import random_setup
 from fockprobe import (
     ParameterError,
     ProbeWarning,
+    amplitudes,
     build_setup,
     c_closed,
     c_quadrature,
@@ -18,8 +19,9 @@ from fockprobe import (
     x_closed,
 )
 from fockprobe.amplitudes import _closed_array, _mode_tail
+from fockprobe.cli import main
 from fockprobe.kernels import _reduced_kernel
-from fockprobe.model import TruncationPolicy, TruncationReport
+from fockprobe.model import TruncationReport
 
 
 def resonant(alpha, speed=1e-3, length=1.0):
@@ -122,46 +124,74 @@ def test_mode_sum_exclusion_is_consistent():
     assert with_alpha_listed == without_alpha
 
 
-def test_mode_sum_cap_warns_and_tail_estimate_brackets_remainder():
+def test_mode_sum_cap_warns_and_tail_estimate_brackets_remainder(monkeypatch):
     # rho = c/v = 4.9875 puts z = -exp(-i pi rho) near 1, where summation by
     # parts needs B of several hundred: a cap of 64 stops short of that
     setup = resonant(2, speed=0.2005)
     prep = prepare_field(setup, 2, 0)
-    short = TruncationPolicy(max_mode=64)
-    with pytest.warns(ProbeWarning, match="hit max_mode=64"):
-        s_short, rep_short = mode_sum_offres(setup, prep, short)
+    with monkeypatch.context() as patch:
+        patch.setattr(amplitudes, "MAX_MODE", 64)
+        with pytest.warns(ProbeWarning, match="hit max_mode=64"):
+            s_short, rep_short = mode_sum_offres(setup, prep)
     s_long, rep_long = mode_sum_offres(setup, prep)
     assert not rep_short.converged and rep_short.modes_evaluated == 64
-    assert rep_short.error_bound > short.tail_tol * abs(s_short)
+    assert rep_short.error_bound > amplitudes.TAIL_TOL * abs(s_short)
     assert rep_long.converged and 64 < rep_long.modes_evaluated <= 10_000
     assert abs(s_long - s_short) <= rep_short.error_bound + rep_long.error_bound
 
 
-def test_mode_sum_converges_under_loose_tolerance():
+def test_mode_sum_converges_under_loose_tolerance(monkeypatch):
     setup = resonant(2)
     prep = prepare_field(setup, 2, 0)
-    policy = TruncationPolicy(max_mode=10_000, tail_tol=1e-6)
-    value, report = mode_sum_offres(setup, prep, policy)
-    assert report.converged
-    assert report.error_bound <= 1e-6 * abs(value)
-    # doubling the cap leaves the converged sum as it is, and the default
-    # tolerance moves it by no more than the loose sum's own bound
-    doubled = TruncationPolicy(max_mode=20_000, tail_tol=1e-6)
-    assert mode_sum_offres(setup, prep, doubled) == (value, report)
+    with monkeypatch.context() as patch:
+        patch.setattr(amplitudes, "TAIL_TOL", 1e-6)
+        value, report = mode_sum_offres(setup, prep)
+        assert report.converged
+        assert report.error_bound <= 1e-6 * abs(value)
+        # doubling the cap leaves the converged sum as it is, and the default
+        # tolerance moves it by no more than the loose sum's own bound
+        patch.setattr(amplitudes, "MAX_MODE", 20_000)
+        assert mode_sum_offres(setup, prep) == (value, report)
     tight, _ = mode_sum_offres(setup, prep)
     assert abs(tight - value) <= report.error_bound + 1e-15 * abs(value)
 
 
-def test_unmeetable_tail_tolerance_warns_and_reports_not_converged():
+def test_unmeetable_tail_tolerance_warns_and_reports_not_converged(monkeypatch):
     setup = resonant(2)
     prep = prepare_field(setup, 2, 0)
-    policy = TruncationPolicy(max_mode=3, tail_tol=1e-17)
-    for name, call in (("off-resonant kernel sum", lambda: mode_sum_offres(setup, prep, policy)),
-                       ("transition mode sum", lambda: counter_rotating_mode_sum(setup, 2, policy))):
+    monkeypatch.setattr(amplitudes, "MAX_MODE", 3)
+    monkeypatch.setattr(amplitudes, "TAIL_TOL", 1e-17)
+    for name, call in (("off-resonant kernel sum", lambda: mode_sum_offres(setup, prep)),
+                       ("transition mode sum", lambda: counter_rotating_mode_sum(setup, 2))):
         with pytest.warns(ProbeWarning, match=f"{name} hit max_mode=3"):
             value, report = call()
         assert not report.converged and report.modes_evaluated == 3
         assert report.error_bound > 1e-17 * abs(value)
+
+
+@pytest.mark.filterwarnings("ignore::fockprobe.ProbeWarning")
+def test_probed_mode_at_or_above_the_cap_is_refused(tmp_path, capsys, monkeypatch):
+    # the tail beyond B <= MAX_MODE would hold a probed mode alpha >= MAX_MODE
+    with monkeypatch.context() as patch:
+        patch.setattr(amplitudes, "MAX_MODE", 8)
+        setup = resonant(2)
+        assert counter_rotating_mode_sum(setup, 7)[1].modes_evaluated == 8
+        for alpha in (8, 9):
+            with pytest.raises(ParameterError, match="MAX_MODE"):
+                mode_sum_offres(setup, prepare_field(setup, alpha, 0))
+            with pytest.raises(ParameterError, match="MAX_MODE"):
+                counter_rotating_mode_sum(setup, alpha)
+        # an explicit mode set has no tail
+        assert counter_rotating_mode_sum(setup, 9, modes=[1, 2])[1].converged
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text("units.mode = natural\ncavity.length = 1\n"
+                   f"field.mode = {amplitudes.MAX_MODE}\nfield.photons = 0\n")
+    out = tmp_path / "out.csv"
+    assert main(["phase", "--config", str(cfg), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "MAX_MODE" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("gap", [1e-300, 5e-324])
@@ -203,7 +233,7 @@ SETUPS = {
     ("natural", 3, 256, None),
     ("natural", 5, 6, None),      # B capped at alpha + 1
 ])
-def test_mode_sums_match_term_by_term_loop(which, units, alpha, modes, cap):
+def test_mode_sums_match_term_by_term_loop(monkeypatch, which, units, alpha, modes, cap):
     """The direct part is a term-by-term loop over modes 1..B; the tail beyond
     B agrees with the loop's further terms up to ``modes`` plus the tail beyond."""
     setup = SETUPS[units]
@@ -213,13 +243,13 @@ def test_mode_sums_match_term_by_term_loop(which, units, alpha, modes, cap):
         terms = [np.conj(c_closed(setup, b, +1)) / (b * np.pi) for b in betas]
     else:
         terms = [abs(x_closed(setup, b, +1)) ** 2 for b in betas]
-    policy = TruncationPolicy(max_mode=cap or modes)
+    monkeypatch.setattr(amplitudes, "MAX_MODE", cap or modes)
     if kernel:
-        total, report = mode_sum_offres(setup, prepare_field(setup, alpha, 0), policy)
+        total, report = mode_sum_offres(setup, prepare_field(setup, alpha, 0))
     else:
-        total, report = counter_rotating_mode_sum(setup, alpha, policy)
+        total, report = counter_rotating_mode_sum(setup, alpha)
     B = report.modes_evaluated
-    assert alpha < B <= policy.max_mode
+    assert alpha < B <= amplitudes.MAX_MODE
     direct = 0.0
     for beta in range(1, B + 1):
         if beta != alpha:
@@ -227,7 +257,7 @@ def test_mode_sums_match_term_by_term_loop(which, units, alpha, modes, cap):
     tail, bound = _mode_tail(setup, B + 1, kernel)
     assert total == pytest.approx(direct + tail, rel=1e-14)
     assert report.tail_estimate == abs(tail) and report.error_bound == bound
-    assert report.converged == (bound <= policy.tail_tol * abs(total))
+    assert report.converged == (bound <= amplitudes.TAIL_TOL * abs(total))
     further = sum(terms[B:modes]) + _mode_tail(setup, modes + 1, kernel)[0]
     # the SI transit phases a ~ 1e6 beta carry rounding of 1e-10..1e-7 rad,
     # which the loop's terms and the tail's start phase round differently

@@ -6,7 +6,6 @@ from fockprobe import (
     FieldPreparation,
     ParameterError,
     ProbeWarning,
-    TruncationPolicy,
     build_setup,
     prepare_field,
     resonant_gap,
@@ -135,12 +134,3 @@ def test_field_preparation_invariants():
     with pytest.raises(ParameterError):
         FieldPreparation(mode=1, photons=-1)
 
-
-def test_truncation_policy_validation():
-    with pytest.raises(ParameterError):
-        TruncationPolicy(max_mode=0)
-    with pytest.raises(ParameterError):
-        TruncationPolicy(tail_tol=0.0)
-    policy = TruncationPolicy(max_mode=2)
-    with pytest.raises(ParameterError):
-        policy.check_covers(FieldPreparation(mode=2, photons=0))

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 from fockprobe import (
+    amplitudes,
     c_closed,
     counter_rotating_mode_sum,
     mode_sum_offres,
+    parse_config,
     phase_components,
     prepare_field,
     resolution_curve,
@@ -21,6 +23,9 @@ from fockprobe import (
 )
 from fockprobe.cli import _build_parser, main
 from fockprobe.config import MAX_SWEEP_ROWS, ConfigError
+from fockprobe.sweeps import PRESETS
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 NATURAL_BASE = {
     "units.mode": "natural",
@@ -62,7 +67,7 @@ def test_sweep_is_deterministic(tmp_path):
     assert man_a.read_bytes() == man_b.read_bytes()
 
 
-def test_sweep_rows_and_manifest_content(tmp_path):
+def test_sweep_rows_and_manifest_content(tmp_path, monkeypatch):
     csv_path, manifest_path = run_sweep(resolve_mapping(small_sweep_mapping()),
                                         tmp_path / "out.csv")
     with open(csv_path) as fh:
@@ -81,8 +86,9 @@ def test_sweep_rows_and_manifest_content(tmp_path):
     assert not any("max_mode" in w for w in manifest["warnings"])
     assert manifest["truncation"]["converged"] is True
     # a tolerance the tail bound cannot meet: recorded, not hidden
-    unmeetable = {**small_sweep_mapping(), "truncation.max_mode": 3, "truncation.tail_tol": 1e-17}
-    _, manifest_path = run_sweep(resolve_mapping(unmeetable), tmp_path / "capped.csv")
+    monkeypatch.setattr(amplitudes, "MAX_MODE", 3)
+    monkeypatch.setattr(amplitudes, "TAIL_TOL", 1e-17)
+    _, manifest_path = run_sweep(resolve_mapping(small_sweep_mapping()), tmp_path / "capped.csv")
     manifest = json.loads(manifest_path.read_text())
     assert any("hit max_mode=3" in w for w in manifest["warnings"])
     assert manifest["truncation"]["converged"] is False
@@ -127,13 +133,14 @@ def test_resolution_sweep_rows(tmp_path):
     assert d2 == pytest.approx(2 * d1, rel=1e-2)
 
 
-def test_cli_warnings_reach_stderr_unless_quiet(tmp_path, capsys):
-    shipped = Path(__file__).resolve().parents[1] / "configs" / "optical-microcavity.cfg"
+def test_cli_warnings_reach_stderr_unless_quiet(tmp_path, capsys, monkeypatch):
+    shipped = CONFIGS / "optical-microcavity.cfg"
     assert main(["phase", "--config", str(shipped)]) == 0
     assert capsys.readouterr().err == ""
     # a tail tolerance the bound cannot meet with three direct modes
-    config = write_config(tmp_path, {**OPTICAL_LINES, "truncation.max_mode": "3",
-                                     "truncation.tail_tol": "1e-17"})
+    monkeypatch.setattr(amplitudes, "MAX_MODE", 3)
+    monkeypatch.setattr(amplitudes, "TAIL_TOL", 1e-17)
+    config = write_config(tmp_path, OPTICAL_LINES)
     assert main(["phase", "--config", str(config)]) == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines()[0] == "p_excite,gamma,visibility,validity"
@@ -151,14 +158,11 @@ def test_cli_warnings_reach_stderr_unless_quiet(tmp_path, capsys):
 ])
 def test_cli_config_time_warnings_are_captured(tmp_path, capsys, command):
     # build_setup warns about this coupling ratio while the config resolves
-    cfg = write_config(tmp_path, {
-        **OPTICAL_LINES,
-        "atom.coupling_ratio": "1e-2",
-        "sweep.variable": "n",
-        "sweep.start": "0",
-        "sweep.stop": "2",
-        "sweep.step": "1",
-    })
+    lines = {**OPTICAL_LINES, "atom.coupling_ratio": "1e-2"}
+    if command == ["sweep"]:
+        lines.update({"sweep.variable": "n", "sweep.start": "0", "sweep.stop": "2",
+                      "sweep.step": "1"})
+    cfg = write_config(tmp_path, lines)
     out = tmp_path / "out.csv"
     assert main([*command, "--config", str(cfg), "--output", str(out), "--quiet"]) == 0
     assert capsys.readouterr().err == ""
@@ -515,7 +519,7 @@ def test_delta_sweep_with_atom_gap_is_a_configuration_error(tmp_path, capsys):
 
 
 def test_sweep_without_output_prints_what_output_writes(tmp_path, capsys):
-    config = Path(__file__).resolve().parents[1] / "configs" / "phase-sweep.cfg"
+    config = CONFIGS / "phase-sweep.cfg"
     out = tmp_path / "phase.csv"
     assert main(["sweep", "--config", str(config), "--output", str(out), "--quiet"]) == 0
     capsys.readouterr()
@@ -534,8 +538,12 @@ HUGE = str(10**20)
     ["resolution", "--n-max", HUGE, "--n-step", str(5 * 10**19)],
 ])
 def test_validity_guard_checks_the_largest_photon_number(tmp_path, capsys, command):
-    cfg = write_config(tmp_path, {**OPTICAL_LINES, "sweep.variable": "n",
-                                  "sweep.values": f"{HUGE}, {2 * 10**20}, 5"})
+    # only the sweep reads the sweep.* keys; fringe and resolution take their
+    # photon numbers from the command line
+    lines = dict(OPTICAL_LINES)
+    if command == ["sweep"]:
+        lines.update({"sweep.variable": "n", "sweep.values": f"{HUGE}, {2 * 10**20}, 5"})
+    cfg = write_config(tmp_path, lines)
     out = tmp_path / "out.csv"
     argv = [*command, "--config", str(cfg), "--output", str(out), "--quiet"]
     assert main(argv) == 3
@@ -575,6 +583,8 @@ def test_validity_guard_judges_the_whole_sweep_grid(tmp_path, capsys, variable, 
     ["--n-step", "0"],
     ["--n-step", "-1"],
     ["--n-max", str(MAX_SWEEP_ROWS), "--m", "1", "--m", "2"],
+    ["--m", "0"],
+    ["--n-max", "-5"],
 ])
 def test_cli_resolution_rejects_unusable_grid(tmp_path, capsys, grid):
     cfg = write_config(tmp_path, OPTICAL_LINES)
@@ -635,8 +645,8 @@ def test_phase_manifest_reports_both_mode_sums(tmp_path):
                  "--output", str(out), "--quiet"]) == 0
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     resolved = resolve_mapping(lines)
-    _, offres = mode_sum_offres(resolved.setup, resolved.prep, resolved.policy)
-    _, vacuum = counter_rotating_mode_sum(resolved.setup, 2, resolved.policy)
+    _, offres = mode_sum_offres(resolved.setup, resolved.prep)
+    _, vacuum = counter_rotating_mode_sum(resolved.setup, 2)
     assert offres.modes_evaluated != vacuum.modes_evaluated
     assert manifest["truncation"] == offres.as_dict()
     assert manifest["vacuum_truncation"] == vacuum.as_dict()
@@ -687,3 +697,45 @@ def test_cli_verify_scan(tmp_path, capsys, axis, code, summary):
     assert [row[0] for row in rows] == [axis] * 3
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert manifest["scan_converged"] is (code == 0)
+
+
+@pytest.mark.parametrize("command", [
+    ["phase"], ["transition"], ["amplitudes", "--mode", "2"], ["kernels", "--mode", "2"],
+    ["resolution"], ["fringe", "--unknown-photons", "1"], ["verify"],
+])
+def test_sweep_keys_outside_sweep_are_a_configuration_error(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    argv = [*command, "--config", str(CONFIGS / "phase-sweep.cfg"), "--output", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "sweep.*" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", ["optical-microcavity.cfg", "does-not-exist.cfg"])
+def test_preset_with_config_is_a_configuration_error(tmp_path, capsys, config):
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--preset", "fig3", "--config", str(CONFIGS / config),
+            "--output", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "--preset" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", [*sorted(p.name for p in CONFIGS.glob("*.cfg")),
+                                    *sorted(PRESETS)])
+def test_shipped_inputs_close_both_mode_sums_below_the_cap(source):
+    if source in PRESETS:
+        resolved = resolve_mapping(PRESETS[source])
+    else:
+        resolved = parse_config(CONFIGS / source)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [mode_sum_offres(resolved.setup, resolved.prep)[1],
+                   counter_rotating_mode_sum(resolved.setup, resolved.prep.mode)[1]]
+    for report in reports:
+        assert report.converged is True
+        assert report.modes_evaluated < amplitudes.MAX_MODE
