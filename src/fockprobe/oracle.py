@@ -141,6 +141,7 @@ class _OracleSpace:
     (2K field_dim, field_dim) stack of a_1^dag..a_K^dag, a_1..a_K on the field
     space: a_i^dag takes field index f - s_i to f with factor sqrt(n_i(f)),
     where s_i is the index stride of mode i and n_i(f) >= 1 its photons in f.
+    ``ladders_t`` is its transpose, kept as CSR for :meth:`minus_i_h`.
     """
 
     def __init__(self, truncation: HilbertTruncation):
@@ -162,6 +163,7 @@ class _OracleSpace:
         self.ladders = sparse.csr_matrix(
             (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
             shape=(2 * count * fd, fd))
+        self.ladders_t = self.ladders.T.tocsr()
 
     def initial_index(self, prep: FieldPreparation) -> int:
         mi = list(self.betas).index(prep.mode)
@@ -186,7 +188,7 @@ class _OracleSpace:
         for source, target, w in halves:
             np.multiply(source.T, -1j * w[:, None, :], out=weighted)
             # real ladders on the real view: (fd, 2M) floats
-            target[...] = (self.ladders.T @ weighted.reshape(-1, count).view(float)
+            target[...] = (self.ladders_t @ weighted.reshape(-1, count).view(float)
                            ).view(complex).T
         return out
 

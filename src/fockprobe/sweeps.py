@@ -9,18 +9,19 @@ speed and coupling-ratio rows need a setup and a mode sum each, which they
 get by re-resolving the configuration at their point through
 ``config.resolve_mapping``.  Identical configurations produce byte-identical
 files; a failed row gets NaN cells and an ``error: ...`` status instead of
-aborting the run.  A preset is run as ``resolve_mapping(PRESETS[name])``.
+aborting the run; :func:`write_outputs` formats the CSV a column at a time.
+A preset is run as ``resolve_mapping(PRESETS[name])``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -41,12 +42,23 @@ _SWEPT_KEYS = {"delta": "field.detuning", "speed": "atom.speed",
                "coupling_ratio": "atom.coupling_ratio"}
 
 
-def _fmt(value) -> str:
-    # repr of the builtin float is the shortest round-trip form; the cast
-    # also strips numpy scalar wrappers out of the CSV
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+# a CSV cell holding one of these is quoted
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _column_text(cells) -> list:
+    """CSV text of one column: a float (numpy's too) as its shortest round-trip
+    ``repr``, any other cell as its ``str``; a quoted cell has its inner double
+    quotes doubled, as ``csv.QUOTE_MINIMAL`` writes it."""
+    floats = [issubclass(kind, float) for kind in set(map(type, cells))]
+    if all(floats):
+        return list(map(float.__repr__, cells))
+    text = [float.__repr__(cell) if isinstance(cell, float) else str(cell)
+            for cell in cells] if any(floats) else list(map(str, cells))
+    if _NEEDS_QUOTES.search("".join(text)):
+        text = ['"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES.search(cell) else cell
+                for cell in text]
+    return text
 
 
 def _rebuilt_amplitudes(resolved: ResolvedConfig):
@@ -111,17 +123,17 @@ def compute_rows(resolved: ResolvedConfig):
     comps = phase_components(setup, prep.mode)
     if request.variable == "m":
         header = ["m", "delta_gamma", "status"]
-        keys = [(m,) for m in request.values]
+        keys = [request.values]
         delta_gamma, failed = delta_gamma_rows(comps, setup, prep.photons, request.values)
         columns = [delta_gamma]
     elif request.observable == "resolution":
         header = ["n", "m", "delta_gamma", "status"]
-        keys = [(n, m) for n in request.values for m in request.m_values]
-        delta_gamma, failed = delta_gamma_rows(comps, setup, *np.array(keys, dtype=float).T)
+        keys = list(zip(*product(request.values, request.m_values)))
+        delta_gamma, failed = delta_gamma_rows(comps, setup, *np.array(keys, dtype=float))
         columns = [delta_gamma]
     else:
         header = [request.variable, "gamma", "visibility", "validity", "status"]
-        keys = [(value,) for value in request.values]
+        keys = [request.values]
         if request.variable == "n":
             n = np.array(request.values, dtype=float)
             amplitudes = survival_amplitude(comps, setup, n)
@@ -132,13 +144,13 @@ def compute_rows(resolved: ResolvedConfig):
         eta, visibility, branch_failed = eta_rows(amplitudes)
         failed.update(branch_failed)
         columns = [eta.real, visibility, validities]
-    columns = [np.asarray(column).tolist() for column in columns]
-    blanks = [math.nan] * len(columns)
-    rows = [
-        [*key, *blanks, f"error: {failed[row]}"] if row in failed
-        else [*key, *(column[row] for column in columns), "ok"]
-        for row, key in enumerate(keys)
-    ]
+    columns = [np.array(column, dtype=float) for column in columns]
+    status = ["ok"] * len(keys[0])
+    for row, message in failed.items():
+        status[row] = f"error: {message}"
+        for column in columns:
+            column[row] = math.nan
+    rows = list(zip(*keys, *(column.tolist() for column in columns), status))
     return header, rows, comps.report
 
 
@@ -146,6 +158,9 @@ def write_outputs(output, header, rows, resolved: ResolvedConfig, command, messa
                   extra=None, quiet=False):
     """Write rows as CSV to ``output`` (stdout when None) and, for a file, a manifest.
 
+    Each column is formatted in one pass and the text written in one piece,
+    so stdout and the file get the same bytes; a row without one cell per
+    header entry raises ``ValueError`` before any CSV is written.
     The manifest ``<output>.manifest.json`` holds only reproducible content
     (the resolved configuration, columns, row count, warnings, and ``extra``);
     wall-clock timing is left to the caller's log so that identical
@@ -159,17 +174,14 @@ def write_outputs(output, header, rows, resolved: ResolvedConfig, command, messa
     if not quiet:
         for msg in messages:
             sys.stderr.write(f"warning: {msg}\n")
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
+    columns = [_column_text(cells) for _, *cells in zip(header, *rows, strict=True)]
+    text = "\n".join([",".join(_column_text(header)), *map(",".join, zip(*columns))]) + "\n"
     if output is None:
-        sys.stdout.write(text.getvalue())
+        sys.stdout.write(text)
         return None
     output = Path(output)
     output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(text.getvalue(), encoding="utf-8", newline="")
+    output.write_text(text, encoding="utf-8", newline="")
     manifest = {
         "tool": "fockprobe",
         "version": __version__,

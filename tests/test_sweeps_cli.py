@@ -1,10 +1,12 @@
 import cmath
 import csv
+import io
 import json
 import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fockprobe import (
@@ -23,7 +25,7 @@ from fockprobe import (
 )
 from fockprobe.cli import _build_parser, main
 from fockprobe.config import MAX_SWEEP_ROWS, ConfigError
-from fockprobe.sweeps import PRESETS
+from fockprobe.sweeps import PRESETS, compute_rows, write_outputs
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -739,3 +741,87 @@ def test_shipped_inputs_close_both_mode_sums_below_the_cap(source):
     for report in reports:
         assert report.converged is True
         assert report.modes_evaluated < amplitudes.MAX_MODE
+
+
+def _reference_csv(header, rows):
+    """The table as csv.writer writes it with each float cell as repr(float(x))."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(cell)) if isinstance(cell, float) else str(cell)
+                         for cell in row])
+    return text.getvalue()
+
+
+GOLDEN_HEADER = ["x", "count", "mixed", "status"]
+GOLDEN_ROWS = [
+    (np.float64(0.1), np.int64(3), math.nan, "ok"),
+    (math.inf, 7, "", 'error: v=1.5, c=1.0 "quoted"\nsecond line'),
+    (-0.0, np.int64(-1), np.float64(1e16), 'error: "q"'),
+    (1e-5, 0, -math.inf, "error: one\ntwo"),
+    (np.float64(math.nan), 2, 1e-5, "error: a, b"),
+]
+
+
+@pytest.mark.parametrize("rows", [GOLDEN_ROWS, []], ids=["cells", "empty"])
+def test_written_csv_matches_the_csv_module_byte_for_byte(tmp_path, capsys, rows):
+    resolved = resolve_mapping(small_sweep_mapping())
+    expected = _reference_csv(GOLDEN_HEADER, rows)
+    assert write_outputs(None, GOLDEN_HEADER, rows, resolved, "sweep") is None
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "golden.csv"
+    write_outputs(out, GOLDEN_HEADER, rows, resolved, "sweep")
+    assert out.read_bytes() == expected.encode("utf-8")
+    if not rows:
+        assert expected == "x,count,mixed,status\n"
+
+
+def test_written_csv_quotes_a_carriage_return_so_it_reads_back(capsys):
+    # csv.writer with a "\n" line terminator leaves a bare CR unquoted on some
+    # Python versions, which a reader then takes for a line break
+    resolved = resolve_mapping(small_sweep_mapping())
+    write_outputs(None, ["x", "status"], [(1.5, "error: a\rb")], resolved, "sweep")
+    text = capsys.readouterr().out
+    assert text == 'x,status\n1.5,"error: a\rb"\n'
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [
+        ["x", "status"], ["1.5", "error: a\rb"]]
+
+
+@pytest.mark.parametrize("rows", [
+    [(1.0, 2.0), (3.0,)],
+    [(1.0,), (2.0,)],
+    [(1.0, 2.0, 3.0)],
+], ids=["ragged", "short", "long"])
+def test_rows_that_do_not_fit_the_header_are_refused(capsys, rows):
+    resolved = resolve_mapping(small_sweep_mapping())
+    with pytest.raises(ValueError):
+        write_outputs(None, ["a", "b"], rows, resolved, "sweep")
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("mapping, key_columns", [
+    ({**DETUNED, "sweep.variable": "n", **DETUNED_GRID}, 1),
+    ({**DETUNED, "sweep.variable": "m", **DETUNED_GRID}, 1),
+    ({**DETUNED, "sweep.variable": "n", **DETUNED_GRID, "sweep.observable": "resolution",
+      "sweep.m_values": "1, 300"}, 2),
+    ({**NATURAL_BASE, "field.photons": 1, "sweep.variable": "delta",
+      "sweep.values": "0.0, 0.5, 7.0"}, 1),
+], ids=["n", "m", "resolution", "delta"])
+def test_compute_rows_gives_one_row_per_grid_point(mapping, key_columns):
+    resolved = resolve_mapping(mapping)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        header, rows, _ = compute_rows(resolved)
+    request = resolved.sweep
+    grid = [(value,) for value in request.values]
+    if key_columns == 2:
+        grid = [(n, m) for n in request.values for m in request.m_values]
+    assert len(rows) == len(grid)
+    assert [tuple(row[:key_columns]) for row in rows] == grid
+    assert all(len(row) == len(header) for row in rows)
+    failed = [row for row in rows if row[-1] != "ok"]
+    assert failed
+    for row in failed:
+        assert row[-1].startswith("error: ")
+        assert all(math.isnan(cell) for cell in row[key_columns:-1])
