@@ -105,6 +105,18 @@ def _overlap(b, s):
     return 0.5 * length[:, 0] * total
 
 
+@cache
+def _overlap_coefficients(beta, degree):
+    """Chebyshev coefficients of K(s) on degree + 1 Lobatto nodes in s.
+
+    K depends on the mode alone (b = beta pi), so both signs and every setup
+    share one evaluation per (beta, degree)."""
+    s = 0.5 * (1.0 + _lobatto_nodes(degree))
+    coefficients = _chebyshev_coefficients(_overlap(beta * np.pi, s))
+    coefficients.flags.writeable = False
+    return coefficients
+
+
 def c_quadrature(setup: ProbeSetup, beta: int, sign: int, quad_tol: float = 1e-9) -> complex:
     """Kernel by nested numerical integration (oracle path).
 
@@ -126,8 +138,7 @@ def c_quadrature(setup: ProbeSetup, beta: int, sign: int, quad_tol: float = 1e-9
     a, b = _transit_phases(setup, beta, sign)
     degree = int(2.0 * b) + INTERPOLANT_MARGIN
     _check_samples((degree + 1) * INNER_NODES)
-    s = 0.5 * (1.0 + _lobatto_nodes(degree))
-    integral, err = _fourier_chebyshev(_chebyshev_coefficients(_overlap(b, s)), a)
+    integral, err = _fourier_chebyshev(_overlap_coefficients(beta, degree), a)
     value = T * T * integral
     err = T * T * err
     bound = quad_tol * max(abs(value), T * T * 1e-3)

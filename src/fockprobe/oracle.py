@@ -27,7 +27,10 @@ max k_beta v; each panel carries the CHEB_DEGREE + 1 Chebyshev-Lobatto nodes.
 Runs of consecutive panels form a block; one Picard sweep evaluates H psi at
 every node of a block in one batch and integrates it with one spectral
 integration matrix, so the carriers are integrated rather than stepped
-through.
+through.  H conserves (atom excitation + total photons) mod 2, so only the
+sector of |g, n> is carried, and as H is block off-diagonal a sweep updates
+its excited half from the ground half, then the ground half from the new
+excited half (Gauss-Seidel order).
 
 The overlap with the initial state yields a numerically exact eta to compare
 with the second-order closed forms; the mismatch must shrink like lambda^4.
@@ -133,7 +136,7 @@ def default_truncation(
 
 
 class _OracleSpace:
-    """Basis layout and stacked field ladders for one truncation.
+    """Basis layout, stacked field ladders and photon-parity sectors of one truncation.
 
     Basis index = atom * field_dim + field index, atom 0 ground and 1
     excited; the field index encodes the occupation digits of the modes in
@@ -141,7 +144,10 @@ class _OracleSpace:
     (2K field_dim, field_dim) stack of a_1^dag..a_K^dag, a_1..a_K on the field
     space: a_i^dag takes field index f - s_i to f with factor sqrt(n_i(f)),
     where s_i is the index stride of mode i and n_i(f) >= 1 its photons in f.
-    ``ladders_t`` is its transpose, kept as CSR for :meth:`minus_i_h`.
+    Every ladder moves one photon, so from |g, n> only the ground half on
+    photon parity n mod 2 and the excited half on the other are reached:
+    ``sectors[p]`` lists the field indices of parity p and ``hops[p]`` is the
+    transposed stack from sector p to sector 1 - p.
     """
 
     def __init__(self, truncation: HilbertTruncation):
@@ -152,10 +158,12 @@ class _OracleSpace:
         self.dim = 2 * fd
         count = len(self.dims)
         index = np.arange(fd)
+        self.parity = np.zeros(fd, dtype=int)  # of the total photon number
         rows, cols, values = [], [], []
         for i, d in enumerate(self.dims):
             stride = int(np.prod(self.dims[i + 1:]))
             photons = index // stride % d
+            self.parity ^= photons & 1
             raised = index[photons > 0]
             rows += [i * fd + raised, (count + i) * fd + raised - stride]  # a_i^dag, a_i
             cols += [raised - stride, raised]
@@ -163,34 +171,32 @@ class _OracleSpace:
         self.ladders = sparse.csr_matrix(
             (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
             shape=(2 * count * fd, fd))
-        self.ladders_t = self.ladders.T.tocsr()
+        self.sectors = tuple(np.flatnonzero(self.parity == p) for p in (0, 1))
+        blocks = fd * np.arange(2 * count)[:, None]
+        self.hops = tuple(self.ladders[(blocks + source).ravel()][:, target].T.tocsr()
+                          for source, target in (self.sectors, self.sectors[::-1]))
 
     def initial_index(self, prep: FieldPreparation) -> int:
         mi = list(self.betas).index(prep.mode)
         return prep.photons * int(np.prod(self.dims[mi + 1:]))
 
-    def minus_i_h(self, weights, psi, out, work):
-        """Write -i H(t_m) psi_m for a batch of M nodes to ``out`` and return it.
+    def hop_weights(self, weights):
+        """-i times the weights of ``hops`` in F and F^dag, from (2K, M) :func:`_coefficients`."""
+        return -1j * np.roll(weights, len(self.betas), axis=0), -1j * np.conj(weights)
 
-        ``weights`` is (2K, M), the weights of :func:`_coefficients` at the M
-        times with the 2K axis first; ``psi`` and ``out`` are (M, dim) and
-        ``work`` a complex buffer of at least 2K * field_dim * M.  Uses
-        Sum_j w_j L_j x = ladders^T (w' (x) x), where w' are the weights of
-        ``ladders^T`` = (a_1..a_K, a_1^dag..a_K^dag): one sparse product per
-        half of the state.
-        """
-        fd, count = self.field_dim, len(psi)
-        weighted = work[:weights.size * fd].reshape(len(weights), fd, count)
-        # F psi_g fills the excited half, F^dag psi_e the ground half; F^dag
-        # has the conjugate weights with those of a^dag and a swapped
-        halves = ((psi[:, :fd], out[:, fd:], np.roll(weights, len(self.betas), axis=0)),
-                  (psi[:, fd:], out[:, :fd], np.conj(weights)))
-        for source, target, w in halves:
-            np.multiply(source.T, -1j * w[:, None, :], out=weighted)
-            # real ladders on the real view: (fd, 2M) floats
-            target[...] = (self.ladders_t @ weighted.reshape(-1, count).view(float)
-                           ).view(complex).T
-        return out
+
+def _hop(stack, weights, psi, out, work):
+    """Write Sum_j w_j L_j psi_m for a batch of M nodes, sector p to 1 - p, to ``out``.
+
+    ``stack`` is ``hops[p]`` and ``weights`` its (2K, M) weights from
+    :meth:`_OracleSpace.hop_weights`; ``psi`` is (M, sector p), ``out`` (M,
+    sector 1 - p) and ``work`` a complex buffer of at least M * stack columns.
+    One sparse product stack (w (x) psi), real ladders on the real view.
+    """
+    count = len(psi)
+    weighted = work[:count * stack.shape[1]].reshape(len(weights), -1, count)
+    np.multiply(psi.T, weights[:, None, :], out=weighted)
+    out[...] = (stack @ weighted.reshape(-1, count).view(float)).view(complex).T
 
 
 def _coefficients(setup: ProbeSetup, betas, t):
@@ -241,8 +247,8 @@ def _chebyshev_panel(degree: int):
 class _PicardPropagator:
     """Block Chebyshev-Picard transit of one truncated space from 0 to T.
 
-    A block holds as many panels as fit BLOCK_BYTES per working array and keep
-    block length * ||H|| <= 1/2, and at least one.  The working arrays are
+    A block holds as many panels as fit BLOCK_BYTES per (nodes x dim) array and
+    keep block length * ||H|| <= 1/2, and at least one.  The working arrays are
     allocated once and reused by every sweep: faulting in fresh pages for
     each sweep cost more than the sweep's arithmetic.
     """
@@ -257,17 +263,28 @@ class _PicardPropagator:
         # ||H(t)|| = ||F(t)|| <= Sum_j |w_j| ||L_j||, |w_j| <= lambda / sqrt(beta pi), ||a|| = sqrt(cap)
         caps = np.array(space.dims) - 1
         self.norm = 2.0 * setup.coupling * np.sum(np.sqrt(caps / (space.betas * np.pi)))
-        nodes = len(self.nodes)
-        self.budget = max(1, BLOCK_BYTES // (nodes * space.dim * 16))
-        size = nodes * self.budget * space.dim
-        self.shift, self.moved, self.rates = (np.empty(size, dtype=complex) for _ in range(3))
-        self.work = np.empty(size * len(space.betas), dtype=complex)
+        self.budget = max(1, BLOCK_BYTES // (len(self.nodes) * space.dim * 16))
         self.steps = 0         # panels accepted
         self.evaluations = 0   # node evaluations of H psi, rejected blocks included
 
-    def run(self, psi0):
+    def run(self, start):
+        """psi(T) on the full space for psi(0) = |g, field index ``start``>."""
+        space, parity = self.space, self.space.parity[start]
+        # (ground, excited) field indices, and the stacks of F and F^dag
+        halves = space.sectors[parity], space.sectors[1 - parity]
+        self.stacks = space.hops[parity], space.hops[1 - parity]
+        size = len(self.nodes) * self.budget
+        self.shift, self.moved, self.rates = (
+            [np.empty(size * len(half), dtype=complex) for half in halves] for _ in range(3))
+        self.work = np.empty(size * max(stack.shape[1] for stack in self.stacks), dtype=complex)
         h = self.setup.crossing_time / self.panel_count
-        return self._march(psi0, 0.0, h, self.panel_count, 0)
+        # start is a ground-sector index: the excited half starts empty
+        end = self._march([(half == start).astype(complex) for half in halves],
+                          0.0, h, self.panel_count, 0)
+        psi_T = np.zeros(space.dim, dtype=complex)
+        for atom, (half, values) in enumerate(zip(halves, end)):
+            psi_T[atom * space.field_dim + half] = values
+        return psi_T
 
     def _march(self, psi, start, h, panels, halvings):
         if self.budget * h * self.norm <= 0.5:
@@ -294,34 +311,41 @@ class _PicardPropagator:
     def _block(self, psi0, start, h, panels):
         """Sweep psi = psi0 - i int H psi over ``panels`` panels of length ``h`` from ``start``.
 
-        Returns the end state, or None when the last two Chebyshev
-        coefficients of some panel's integrand exceed ``integ_tol`` times the
-        block's largest |H psi|, i.e. the panels are too long for the
-        carriers.  Raises :class:`ConvergenceError` when a sweep still changes
-        some real or imaginary part by more than ``integ_tol / 100`` after
-        SWEEP_CAP sweeps.
+        ``psi0`` holds the (ground, excited) halves, and each sweep updates the
+        excited half before the ground half.  Returns the end halves, or None
+        when the last two Chebyshev coefficients of some panel's integrand
+        exceed ``integ_tol`` times the block's largest |H psi|, i.e. the panels
+        are too long for the carriers.  Raises :class:`ConvergenceError` when a
+        sweep still changes some real or imaginary part by more than
+        ``integ_tol / 100`` after SWEEP_CAP sweeps.
         """
-        space, nodes, dim = self.space, len(self.nodes), self.space.dim
-        size = nodes * panels * dim
+        nodes = len(self.nodes)
         times = start + h * (np.arange(panels) + 0.5 * (1.0 + self.nodes[:, None]))
-        weights = np.ascontiguousarray(
-            _coefficients(self.setup, space.betas, times).reshape(nodes * panels, -1).T)
+        weights = self.space.hop_weights(np.ascontiguousarray(
+            _coefficients(self.setup, self.space.betas, times).reshape(nodes * panels, -1).T))
         integrate = 0.5 * h * self.integrate
-        # displacement from psi0 at every node, panels side by side: (nodes, panels, dim)
-        shift, moved = (buffer[:size].reshape(nodes, panels, dim)
-                        for buffer in (self.shift, self.moved))
-        rates = self.rates[:size].reshape(-1, dim)
-        shift[...] = 0.0
+        # displacement from psi0 at every node, panels side by side: (nodes, panels, half)
+        shift, moved, rates = (
+            [buffer[:nodes * panels * len(half)].reshape(nodes, panels, -1)
+             for buffer, half in zip(buffers, psi0)]
+            for buffers in (self.shift, self.moved, self.rates))
+        for half in shift:
+            half[...] = 0.0
         for sweep in range(1, SWEEP_CAP + 1):
-            state = np.add(shift, psi0, out=moved)  # moved is free until the GEMM
-            space.minus_i_h(weights, state.reshape(-1, dim), rates, self.work)
-            # one real GEMM with the nodes as rows: (nodes, 2 * panels * dim)
-            np.matmul(integrate, rates.reshape(nodes, -1).view(float),
-                      out=moved.reshape(nodes, -1).view(float))
-            moved[:, 1:] += np.cumsum(moved[-1, :-1], axis=0)  # each panel starts where the last ended
-            change = np.subtract(moved, shift, out=shift).view(float)
-            update = max(change.max(), -change.min())
-            shift, moved = moved, shift
+            update = 0.0
+            for source, target in ((0, 1), (1, 0)):
+                # moved[source] is free until its own half's GEMM
+                state = np.add(shift[source], psi0[source], out=moved[source])
+                _hop(self.stacks[source], weights[source], state.reshape(nodes * panels, -1),
+                     rates[target].reshape(nodes * panels, -1), self.work)
+                # one real GEMM with the nodes as rows: (nodes, 2 * panels * half)
+                np.matmul(integrate, rates[target].reshape(nodes, -1).view(float),
+                          out=moved[target].reshape(nodes, -1).view(float))
+                # each panel starts where the last ended
+                moved[target][:, 1:] += np.cumsum(moved[target][-1, :-1], axis=0)
+                change = np.subtract(moved[target], shift[target], out=shift[target]).view(float)
+                update = max(update, change.max(), -change.min())
+                shift[target], moved[target] = moved[target], shift[target]
             if update <= 1e-2 * self.integ_tol:
                 break
         else:
@@ -330,10 +354,10 @@ class _PicardPropagator:
                 f"sweeps over [{start:.6g}, {start + panels * h:.6g}]"
             )
         self.evaluations += sweep * nodes * panels
-        tail = np.max(np.abs(self.tail @ rates.reshape(nodes, -1)), initial=0.0)
-        if tail > self.integ_tol * np.max(np.abs(rates), initial=0.0):
+        tail = max(np.abs(self.tail @ half.reshape(nodes, -1)).max() for half in rates)
+        if tail > self.integ_tol * max(np.abs(half).max() for half in rates):
             return None
-        return psi0 + shift[-1, -1]
+        return [half0 + half[-1, -1] for half0, half in zip(psi0, shift)]
 
 
 @dataclass(frozen=True)
@@ -360,16 +384,18 @@ def evolve(
     swept until the largest update is at most atol = ``integ_tol`` / 100, and
     is redone with halved panels unless the last two Chebyshev coefficients
     of every panel's integrand are at most rtol = ``integ_tol`` relative to
-    the block's largest |H psi|.  ``step_report`` records the panels taken
-    (``steps``), the node evaluations of H psi (``rhs_evaluations``), both
-    tolerances and the dimension.  Raises :class:`ConvergenceError` before
-    integrating if ``integ_tol`` is below :data:`INTEG_TOL_FLOOR` (100 *
-    machine epsilon, ~2.2e-14: the Chebyshev tail bottoms out near 2e-15 in
-    rounding, so a tighter rtol cannot be certified) or is NaN or infinite;
-    when a block's sweeps or panel halvings hit their cap; and after
-    integrating if the final norm drifts by more than 10 * integ_tol
-    (unitarity bound).  Warns when the validity estimator is outside the
-    trusted range.
+    the block's largest |H psi|.  Only the photon-parity sector of |g, n> is
+    propagated, a sweep updating its excited half and then its ground half.
+    ``step_report`` records the panels taken (``steps``), the node
+    evaluations of H psi, one per node and sweep (``rhs_evaluations``), both
+    tolerances and the dimension of the whole truncated space.  Raises
+    :class:`ConvergenceError` before integrating if ``integ_tol`` is below
+    :data:`INTEG_TOL_FLOOR` (100 * machine epsilon, ~2.2e-14: the Chebyshev
+    tail bottoms out near 2e-15 in rounding, so a tighter rtol cannot be
+    certified) or is NaN or infinite; when a block's sweeps or panel halvings
+    hit their cap; and after integrating if the final norm drifts by more
+    than 10 * integ_tol (unitarity bound).  Warns when the validity estimator
+    is outside the trusted range.
     """
     _check_integ_tol(integ_tol)
     if truncation is None:
@@ -378,10 +404,11 @@ def evolve(
     _warn_validity(validity(setup, prep))
 
     space = _OracleSpace(truncation)
+    start = space.initial_index(prep)
     psi0 = np.zeros(space.dim, dtype=complex)
-    psi0[space.initial_index(prep)] = 1.0
+    psi0[start] = 1.0
     propagator = _PicardPropagator(space, setup, integ_tol)
-    psi_T = propagator.run(psi0)
+    psi_T = propagator.run(start)
     rtol = integ_tol
     atol = integ_tol * 1e-2
     overlap = complex(np.vdot(psi0, psi_T))

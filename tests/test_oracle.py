@@ -71,24 +71,70 @@ def test_hamiltonian_single_mode_ladder_entries():
     assert H[0, 1] == H[2, 3] == H[0, 2] == H[1, 3] == 0.0
 
 
+# unequal mode caps; with odd level counts only, the two parity sectors differ in size
+SECTOR_TRUNCATIONS = (((3, 2), (1, 1), (2, 4), (5, 1)), ((1, 2), (2, 4), (3, 2)))
+
+
 def test_evolved_rhs_is_minus_i_hamiltonian():
-    # the batched product the propagator sweeps is -i H(t) psi with the same
-    # H(t) that build_hamiltonian returns, on a truncation with unequal mode caps
+    # the batched sector products the propagator sweeps give -i H(t) psi with
+    # the same H(t) that build_hamiltonian returns, from |g, n> of either parity
     setup = fast(ratio=1e-4)
-    trunc = HilbertTruncation(modes=((3, 2), (1, 1), (2, 4), (5, 1)))
-    space = oracle._OracleSpace(trunc)
     times = np.array([0.0, 0.3, 17.0, 61.7, 99.0])
     rng = np.random.default_rng(5)
-    dim = trunc.dimension
-    psi = rng.normal(size=(len(times), dim)) + 1j * rng.normal(size=(len(times), dim))
-    weights = np.ascontiguousarray(oracle._coefficients(setup, space.betas, times).T)
-    out = np.empty_like(psi)
-    work = np.empty(weights.size * space.field_dim, dtype=complex)
-    got = space.minus_i_h(weights, psi, out, work)
-    assert got is out
-    for row, t in enumerate(times):
-        expected = -1j * (build_hamiltonian(setup, trunc, t) @ psi[row])
-        assert np.max(np.abs(got[row] - expected)) <= 1e-14 * np.max(np.abs(expected)) + 1e-300
+    sizes = []
+    for modes in SECTOR_TRUNCATIONS:
+        trunc = HilbertTruncation(modes=modes)
+        space = oracle._OracleSpace(trunc)
+        fd = space.field_dim
+        sizes.append(tuple(map(len, space.sectors)))
+        weights = space.hop_weights(
+            np.ascontiguousarray(oracle._coefficients(setup, space.betas, times).T))
+        work = np.empty(len(times) * max(stack.shape[1] for stack in space.hops), dtype=complex)
+        for photons in (2, 3):
+            parity = space.parity[space.initial_index(prepare_field(setup, 2, photons))]
+            assert parity == photons % 2
+            ground, excited = space.sectors[parity], fd + space.sectors[1 - parity]
+            shape = (len(times), space.dim)
+            psi = np.zeros(shape, dtype=complex)
+            reached = np.concatenate((ground, excited))
+            psi[:, reached] = (rng.normal(size=shape) + 1j * rng.normal(size=shape))[:, reached]
+            got = np.zeros_like(psi)
+            # F psi_g fills the excited half, F^dag psi_e the ground half
+            for stack, w, source, target in ((space.hops[parity], weights[0], ground, excited),
+                                             (space.hops[1 - parity], weights[1], excited, ground)):
+                out = np.empty((len(times), len(target)), dtype=complex)
+                oracle._hop(stack, w, psi[:, source], out, work)
+                got[:, target] = out
+            for row, t in enumerate(times):
+                expected = -1j * (build_hamiltonian(setup, trunc, t) @ psi[row])
+                scale = np.max(np.abs(expected))
+                assert np.max(np.abs(got[row] - expected)) <= 1e-14 * scale + 1e-300
+    assert sizes == [(30, 30), (23, 22)]
+
+
+@pytest.mark.parametrize("modes", SECTOR_TRUNCATIONS)
+def test_hamiltonian_maps_each_parity_sector_to_the_other(modes):
+    # every term of H(t) flips the atom and moves one photon: H psi for psi
+    # inside one sector is exactly zero outside the opposite sector
+    setup = fast(ratio=1e-4)
+    trunc = HilbertTruncation(modes=modes)
+    space = oracle._OracleSpace(trunc)
+    fd = space.field_dim
+    digits = np.unravel_index(np.arange(fd), space.dims)
+    assert np.array_equal(space.parity, np.sum(digits, axis=0) % 2)
+    rng = np.random.default_rng(11)
+    for t in (0.3, 61.7):
+        H = build_hamiltonian(setup, trunc, t)
+        for atom in (0, 1):
+            for parity in (0, 1):
+                sector = atom * fd + space.sectors[parity]
+                psi = np.zeros(space.dim, dtype=complex)
+                psi[sector] = rng.normal(size=len(sector)) + 1j * rng.normal(size=len(sector))
+                outside = np.ones(space.dim, dtype=bool)
+                outside[(1 - atom) * fd + space.sectors[1 - parity]] = False
+                result = H @ psi
+                assert np.all(result[outside] == 0.0)
+                assert np.count_nonzero(result) > 0
 
 
 def test_zero_coupling_evolution_is_identity():
@@ -189,16 +235,20 @@ def test_step_report_records_tolerances_actually_used(tol):
 
 
 # The benchmark's oracle point: v = 0.1, T = 10, transit phase delta T = pi/2.
-@pytest.fixture(scope="module")
-def bench_point():
+def _evolve_at_bench_point(photons):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # lambda / Omega above the typical range
         setup = build_setup(1.0, 0.1, light_speed=1.0, resonant_with_mode=2,
                             detuning=math.pi / 20.0, coupling_ratio=3e-4,
                             unit_mode="natural")
-        prep = prepare_field(setup, 2, 2)
+        prep = prepare_field(setup, 2, photons)
         result = evolve(setup, prep, integ_tol=1e-11)
     return setup, prep, result
+
+
+@pytest.fixture(scope="module")
+def bench_point():
+    return _evolve_at_bench_point(2)
 
 
 def _dop853_reference(setup, prep, integ_tol):
@@ -223,8 +273,10 @@ def _dop853_reference(setup, prep, integ_tol):
     return complex(np.vdot(psi0, psi_T)), float(np.sum(np.abs(psi_T[fd:]) ** 2))
 
 
-def test_propagator_matches_dop853_at_benchmark_point(bench_point):
-    setup, prep, result = bench_point
+@pytest.mark.parametrize("photons", [2, 3])
+def test_propagator_matches_dop853_at_benchmark_point(photons):
+    # the full-space reference checks the parity restriction for either parity
+    setup, prep, result = _evolve_at_bench_point(photons)
     overlap, p_excite = _dop853_reference(setup, prep, 1e-11)
     assert abs(result.overlap - overlap) <= 1e-13
     assert result.p_excite_numeric == pytest.approx(p_excite, rel=1e-12, abs=0.0)
