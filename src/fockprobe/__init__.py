@@ -49,7 +49,6 @@ from .observables import (
     fringe,
     phase_components,
     probe_outcome,
-    resolution_curve,
     resolution_threshold,
     survival_amplitude,
     transition_probability,
@@ -102,7 +101,6 @@ __all__ = [
     "prepare_field",
     "probe_outcome",
     "resolve_mapping",
-    "resolution_curve",
     "resolution_threshold",
     "resonant_gap",
     "run_sweep",

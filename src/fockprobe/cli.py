@@ -4,26 +4,28 @@ Every subcommand reads a config file (see configs/ for samples; ``sweep``
 may take a --preset instead), writes CSV to --output (or stdout), and -- when
 writing to a file -- drops a JSON manifest next to it recording the resolved
 configuration and all warnings.  The warnings also go to stderr unless
---quiet is given.  Only ``sweep`` accepts ``sweep.*`` keys.  ``main``
-resolves the configuration and applies the validity guard once, at the
-largest photon number the subcommand evaluates (for a sweep, at the row
-with the largest estimator), before handing both to the subcommand.  Exit
-codes: 0 success, 1 configuration error, 2 numerical failure, 3
-validity-guard violation.
+--quiet is given.  Only ``sweep`` accepts ``sweep.*`` keys; ``resolution``
+runs as the resolution sweep its flags describe.  ``main`` resolves the
+configuration and applies the validity guard once, at the largest photon
+number the subcommand evaluates (for a sweep, at the row with the largest
+estimator), before handing both to the subcommand.  Exit codes: 0 success,
+1 configuration error, 2 numerical failure, 3 validity-guard violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .amplitudes import ConvergenceError, x_closed, x_quadrature
-from .config import MAX_SWEEP_ROWS, ConfigError, parse_config, resolve_mapping
+from .config import MAX_SWEEP_ROWS, ConfigError, SweepRequest, parse_config, resolve_mapping
 from .kernels import c_closed, c_quadrature, mode_sum_offres
 from .model import ParameterError, prepare_field
 from .observables import (
@@ -34,12 +36,11 @@ from .observables import (
     eta_phase,
     fringe,
     probe_outcome,
-    resolution_curve,
     resolution_threshold,
     transition_probability,
 )
 from .oracle import convergence_scan, default_truncation, evolve
-from .sweeps import PRESETS, largest_validity, run_sweep, write_outputs
+from .sweeps import PRESETS, compute_rows, largest_validity, run_sweep, write_outputs
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -132,37 +133,37 @@ def _signs(flag: str):
     return {"+": [+1], "-": [-1], "both": [+1, -1]}[flag]
 
 
-def _resolution_grid(args):
-    """The photon differences and the n grid of ``resolution``."""
+def _resolution_request(args) -> SweepRequest:
+    """The resolution sweep ``resolution`` runs: n = 0, --n-step, ..., --n-max for each --m."""
     if args.n_step < 1:
         raise ConfigError(f"--n-step must be positive, got {args.n_step}")
     if args.n_max < 0:
         raise ConfigError(f"--n-max must be non-negative, got {args.n_max}")
-    m_list = sorted(set(args.m)) if args.m else [1]
-    if m_list[0] < 1:
-        raise ConfigError(f"--m must be a positive integer, got {m_list[0]}")
-    n_range = range(0, args.n_max + 1, args.n_step)
-    if len(n_range) * len(m_list) > MAX_SWEEP_ROWS:
+    if not (math.isfinite(args.floor) and args.floor > 0):
+        raise ConfigError(f"--floor must be finite and positive, got {args.floor}")
+    m_values = sorted(set(args.m)) if args.m else [1]
+    if m_values[0] < 1:
+        raise ConfigError(f"--m must be a positive integer, got {m_values[0]}")
+    n_values = range(0, args.n_max + 1, args.n_step)
+    if len(n_values) * len(m_values) > MAX_SWEEP_ROWS:
         raise ConfigError(
             f"resolution grid has more than MAX_SWEEP_ROWS = {MAX_SWEEP_ROWS} rows"
         )
-    return m_list, n_range
+    return SweepRequest(variable="n", values=tuple(n_values), observable="resolution",
+                        m_values=tuple(m_values))
 
 
 def _largest_validity(args, resolved):
     """Validity estimator at the largest photon number the subcommand evaluates.
 
-    For a sweep it is the largest over all rows (speed and coupling ratio
-    move it too); None when the subcommand evaluates no photon number.
+    For a sweep, ``resolution`` included, it is the largest over all rows
+    (speed and coupling ratio move it too); None when none is evaluated.
     """
     if args.command in ("amplitudes", "kernels"):
         return None
-    if args.command == "sweep" and resolved.sweep is not None:
+    if resolved.sweep is not None:
         return largest_validity(resolved)
-    if args.command == "resolution":
-        m_list, n_range = _resolution_grid(args)
-        photons = max(n_range, default=0) + max(m_list)
-    elif args.command == "fringe":
+    if args.command == "fringe":
         photons = max(resolved.prep.photons, args.unknown_photons)
     else:
         photons = resolved.prep.photons
@@ -253,11 +254,9 @@ def _cmd_phase(args, resolved, caught) -> int:
 
 
 def _cmd_resolution(args, resolved, caught) -> int:
-    m_list, n_range = _resolution_grid(args)
-    rows = resolution_curve(resolved.setup, resolved.prep.mode, m_list, n_range)
+    header, rows, _ = compute_rows(resolved)
     threshold = resolution_threshold(resolved.setup, resolved.prep.mode,
                                      resolution_floor=args.floor)
-    header = ["n", "m", "delta_gamma"]
     if not args.quiet:
         sys.stderr.write(
             f"largest n resolving a single photon at floor {args.floor:g} rad: "
@@ -269,13 +268,14 @@ def _cmd_resolution(args, resolved, caught) -> int:
 
 
 def _cmd_fringe(args, resolved, caught) -> int:
-    unknown = prepare_field(resolved.setup, resolved.prep.mode, args.unknown_photons)
     phis = args.phi if args.phi else [0.0]
-    header = ["phi", "p_plus", "p_minus"]
-    rows = []
     for phi in phis:
-        p_plus, p_minus = fringe(resolved.setup, resolved.prep, unknown, phi)
-        rows.append([phi, p_plus, p_minus])
+        if not math.isfinite(phi):
+            raise ConfigError(f"--phi must be finite, got {phi}")
+    unknown = prepare_field(resolved.setup, resolved.prep.mode, args.unknown_photons)
+    p_plus, p_minus = fringe(resolved.setup, resolved.prep, unknown, phis)
+    header = ["phi", "p_plus", "p_minus"]
+    rows = list(zip(phis, p_plus.tolist(), p_minus.tolist()))
     write_outputs(args.output, header, rows, resolved, "fringe", _messages(caught),
                   {"unknown_photons": args.unknown_photons}, args.quiet)
     return EXIT_OK
@@ -383,6 +383,8 @@ def main(argv=None) -> int:
             if resolved.sweep is not None and args.command != "sweep":
                 raise ConfigError(f"{args.command} reads no sweep.* keys; remove them "
                                   "or run sweep")
+            if args.command == "resolution":
+                resolved = replace(resolved, sweep=_resolution_request(args))
             code = _guard_validity(args, resolved)
             if code == EXIT_OK:
                 code = _HANDLERS[args.command](args, resolved, caught)

@@ -28,8 +28,9 @@ class ConfigError(ValueError):
 
 SWEEP_VARIABLES = ("n", "m", "delta", "speed", "coupling_ratio")
 SWEEP_OBSERVABLES = ("phase", "resolution")
-# Most values a sweep.start/stop/step grid may have; checked before the grid
-# is built, so a mistyped range is an error rather than an unbounded allocation.
+# Most values a sweep.start/stop/step grid may have, and most rows (n x m) a
+# resolution sweep may have; a grid is checked before it is built, so a
+# mistyped range is an error rather than an unbounded allocation.
 MAX_SWEEP_ROWS = 100_000
 
 # key -> (type tag, mandatory)
@@ -264,6 +265,8 @@ def _resolve_sweep(mapping, defaults) -> SweepRequest | None:
         m_values = tuple(int(v) for v in m_values)
         if variable != "n":
             raise ConfigError("resolution sweeps run over the photon number n")
+        if len(values) * len(m_values) > MAX_SWEEP_ROWS:
+            raise ConfigError(f"resolution sweep has over MAX_SWEEP_ROWS = {MAX_SWEEP_ROWS} rows")
     elif m_values is not None:
         raise ConfigError("sweep.m_values is read only by resolution sweeps; "
                           "set sweep.observable = resolution or remove it")

@@ -10,6 +10,7 @@ and eta = -i Ln A(n) on the principal branch.  The measurable interferometric
 phase is gamma = Re(eta) = arg A(n); the fringe visibility factor is
 exp(-|Im eta|).  Phase differences between photon numbers are evaluated from
 the single Ln of the amplitude ratio, never by subtracting two rounded phases.
+Tables of them over (n, m) grids are resolution sweeps (``sweeps.compute_rows``).
 """
 
 from __future__ import annotations
@@ -302,21 +303,6 @@ def delta_gamma_linear(setup: ProbeSetup, alpha: int, m: int) -> float:
     return lam * lam * L * L * m / (4.0 * math.pi**2 * alpha**2 * c * v)
 
 
-def resolution_curve(setup: ProbeSetup, alpha: int, m_list, n_range):
-    """Rows (n, m, delta_gamma) over a photon-number grid.
-
-    Rows are ordered by n then m.  A row whose phase extraction fails the
-    branch guard gets NaN and a warning instead of aborting the table.
-    """
-    keys = [(int(n), int(m)) for n in n_range for m in m_list]
-    n, m = np.array(keys, dtype=float).reshape(-1, 2).T
-    delta_gamma, failed = delta_gamma_rows(phase_components(setup, alpha), setup, n, m)
-    for row, message in failed.items():
-        warnings.warn(f"row (n={keys[row][0]}, m={keys[row][1]}): {message}", ProbeWarning,
-                      stacklevel=2)
-    return [(n, m, dg) for (n, m), dg in zip(keys, delta_gamma.tolist())]
-
-
 def resolution_threshold(setup: ProbeSetup, alpha: int, resolution_floor: float = 1e-4):
     """Largest n with delta_1 gamma(n) >= resolution_floor, or None if already below at n=0.
 
@@ -355,14 +341,15 @@ def fringe(
     setup: ProbeSetup,
     prep_known: FieldPreparation,
     prep_unknown: FieldPreparation,
-    reference_phase: float = 0.0,
+    reference_phase=0.0,
 ):
     """Balanced two-port interferometer outputs for the two cavity arms.
 
     P+- = (1 +- V cos(dgamma + phi)) / 2 with V the product of the arm
     visibilities and dgamma = gamma(unknown) - gamma(known), taken as
     arg(A_unknown / A_known): exact, since the branch guard keeps both phases
-    in (-pi/2, pi/2).  The pair always sums to 1.
+    in (-pi/2, pi/2).  The pair always sums to 1.  A sequence of reference
+    phases gives arrays, from one evaluation of the two amplitudes.
     """
     preps = (prep_known, prep_unknown)
     for prep in preps:
@@ -377,6 +364,6 @@ def fringe(
     dgamma = float(np.angle(a_unknown / a_known))
     vis_known, vis_unknown = visibility.tolist()
     contrast = vis_known * vis_unknown
-    p_plus = 0.5 * (1.0 + contrast * math.cos(dgamma + reference_phase))
+    p_plus = 0.5 * (1.0 + contrast * np.cos(np.add(dgamma, reference_phase)))
     p_minus = 1.0 - p_plus
     return p_plus, p_minus

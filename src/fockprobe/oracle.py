@@ -43,6 +43,7 @@ optical frequencies would demand ~1e6 oscillations per transit for no gain.
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cache
@@ -113,9 +114,7 @@ class HilbertTruncation:
                 f"{prep.photons + 2}"
             )
         if self.dimension > DIMENSION_CAP:
-            raise DimensionCapError(
-                f"truncated dimension {self.dimension} exceeds cap {DIMENSION_CAP}"
-            )
+            raise DimensionCapError(f"truncated dimension exceeds cap {DIMENSION_CAP}")
 
 
 def default_truncation(
@@ -128,6 +127,10 @@ def default_truncation(
     top = max_mode if max_mode is not None else prep.mode + 1
     if top < prep.mode:
         raise ParameterError("truncation must include the probed mode")
+    # each retained mode holds at least one photon, so at least doubles the
+    # dimension: a mode count that passes the cap is refused before its tuple
+    if top + 1 > math.log2(DIMENSION_CAP):
+        raise DimensionCapError(f"{top} modes exceed the dimension cap {DIMENSION_CAP}")
     modes = tuple(
         (beta, prep.photons + headroom if beta == prep.mode else others_max)
         for beta in range(1, top + 1)

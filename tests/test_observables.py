@@ -19,13 +19,14 @@ from fockprobe import (
     phase_components,
     prepare_field,
     probe_outcome,
-    resolution_curve,
     resolution_threshold,
+    resolve_mapping,
     survival_amplitude,
     transition_probability,
     validity,
 )
 from fockprobe.observables import delta_gamma_rows, eta_rows
+from fockprobe.sweeps import compute_rows
 
 
 def natural(alpha=2, ratio=1e-4, speed=1e-3):
@@ -213,10 +214,17 @@ def test_phase_curve_shape_and_visibility():
     assert visses[0] == pytest.approx(1.0, abs=1e-4)
 
 
-def test_resolution_curve_and_threshold():
+def test_resolution_rows_and_threshold():
     setup = optical()
-    rows = resolution_curve(setup, 2, [1, 2, 4], range(0, 30, 10))
-    by_key = {(n, m): dg for n, m, dg in rows}
+    resolved = resolve_mapping({
+        "cavity.length": 1e-6, "atom.speed": 1000.0, "atom.coupling_ratio": 1e-4,
+        "field.mode": 2, "field.photons": 0, "sweep.variable": "n",
+        "sweep.values": "0, 10, 20", "sweep.observable": "resolution",
+        "sweep.m_values": "1, 2, 4",
+    })
+    assert resolved.setup == setup
+    _, rows, _ = compute_rows(resolved)
+    by_key = {(n, m): dg for n, m, dg, _ in rows}
     assert by_key[(0, 2)] == pytest.approx(2 * by_key[(0, 1)], rel=1e-2)
     assert by_key[(0, 4)] == pytest.approx(4 * by_key[(0, 1)], rel=1e-2)
     # single-photon resolvability threshold against a direct scan

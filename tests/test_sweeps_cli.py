@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import time
 import warnings
 from pathlib import Path
 
@@ -13,11 +14,11 @@ from fockprobe import (
     amplitudes,
     c_closed,
     counter_rotating_mode_sum,
+    fringe,
     mode_sum_offres,
     parse_config,
     phase_components,
     prepare_field,
-    resolution_curve,
     resolve_mapping,
     run_sweep,
     survival_amplitude,
@@ -249,15 +250,21 @@ def test_cli_resolution_and_fringe(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
-    assert lines[0] == "n,m,delta_gamma"
+    assert lines[0] == "n,m,delta_gamma,status"
     assert len(lines) == 1 + 3 * 2
+    phis = [0.0, 1.5707963267948966, -2.5]
     code = main(["fringe", "--config", str(cfg), "--unknown-photons", "4",
-                 "--phi", "0.0", "--phi", "1.5707963267948966"])
+                 *(f"--phi={phi!r}" for phi in phis)])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "phi,p_plus,p_minus"
     p_plus, p_minus = (float(x) for x in lines[1].split(",")[1:])
     assert p_plus + p_minus == pytest.approx(1.0, rel=1e-12)
+    # the rows, from one evaluation of the amplitudes, equal one fringe call per phase
+    resolved = parse_config(cfg)
+    unknown = prepare_field(resolved.setup, 2, 4)
+    assert [[float(x) for x in line.split(",")] for line in lines[1:]] == [
+        [phi, *fringe(resolved.setup, resolved.prep, unknown, phi)] for phi in phis]
 
 
 def test_cli_verify_pass(tmp_path, capsys):
@@ -352,6 +359,9 @@ def test_cli_config_errors(tmp_path, capsys):
      "sweep.step": "1"},
     {"sweep.variable": "delta", "sweep.start": "-1e308", "sweep.stop": "1e308",
      "sweep.step": "1"},
+    # 99,999 values of n times two of m
+    {"sweep.variable": "n", "sweep.start": "0", "sweep.stop": str(MAX_SWEEP_ROWS - 2),
+     "sweep.step": "1", "sweep.observable": "resolution", "sweep.m_values": "1, 2"},
 ])
 def test_cli_rejects_unbounded_input(tmp_path, capsys, lines):
     cfg = write_config(tmp_path, {**OPTICAL_LINES, **lines})
@@ -469,24 +479,39 @@ def test_branch_crossing_rows_match_scalar_reference(tmp_path, sweep):
     assert manifest["warnings"] == list(dict.fromkeys(expected_warnings))
 
 
-def test_resolution_curve_marks_branch_crossing_rows():
+def test_cli_resolution_marks_branch_crossing_rows(tmp_path, capsys):
     resolved = resolve_mapping(DETUNED)
     amplitude, _ = _scalar_amplitude(resolved.setup)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rows = resolution_curve(resolved.setup, 2, [1, 300], range(0, 3001, 10))
-    row_warnings = [str(w.message) for w in caught if str(w.message).startswith("row ")]
-    expected_warnings = []
-    for n, m, delta_gamma in rows:
-        message, reference = _reference_delta_gamma(amplitude, n, m)
+    out = tmp_path / "resolution.csv"
+    assert main(["resolution", "--config", str(write_config(tmp_path, DETUNED)),
+                 "--m", "300", "--m", "1", "--n-max", "3000", "--n-step", "10",
+                 "--output", str(out), "--quiet"]) == 0
+    header, *rows = csv.reader(open(out))
+    assert header == ["n", "m", "delta_gamma", "status"]
+    assert [(int(n), int(m)) for n, m, _, _ in rows] == [
+        (n, m) for n in range(0, 3001, 10) for m in (1, 300)]
+    failed = 0
+    for n, m, delta_gamma, status in rows:
+        message, reference = _reference_delta_gamma(amplitude, int(n), int(m))
         if message is None:
             assert _within_ulps(delta_gamma, reference, 2)
+            assert status == "ok"
         else:
-            assert math.isnan(delta_gamma)
-            expected_warnings.append(f"row (n={n}, m={m}): {message}")
-    assert [(n, m) for n, m, _ in rows] == [(n, m) for n in range(0, 3001, 10) for m in (1, 300)]
-    assert row_warnings == expected_warnings
-    assert 0.4 * len(rows) < len(expected_warnings) < 0.6 * len(rows)
+            failed += 1
+            assert delta_gamma == "nan"
+            assert status == f"error: {message}"
+    assert 0.4 * len(rows) < failed < 0.6 * len(rows)
+    # a failed row says so in its status cell only
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert not any(w.startswith("row ") for w in manifest["warnings"])
+    # resolution writes what the equivalent resolution sweep writes
+    sweep_cfg = write_config(tmp_path, {**DETUNED, "sweep.variable": "n", **DETUNED_GRID,
+                                        "sweep.observable": "resolution",
+                                        "sweep.m_values": "1, 300"}, "sweep.cfg")
+    sweep_out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(sweep_cfg), "--output", str(sweep_out),
+                 "--quiet"]) == 0
+    assert out.read_bytes() == sweep_out.read_bytes()
 
 
 def test_delta_rows_follow_the_configured_resonance(tmp_path):
@@ -587,6 +612,9 @@ def test_validity_guard_judges_the_whole_sweep_grid(tmp_path, capsys, variable, 
     ["--n-max", str(MAX_SWEEP_ROWS), "--m", "1", "--m", "2"],
     ["--m", "0"],
     ["--n-max", "-5"],
+    ["--floor", "nan"],
+    ["--floor", "-1"],
+    ["--floor", "inf"],
 ])
 def test_cli_resolution_rejects_unusable_grid(tmp_path, capsys, grid):
     cfg = write_config(tmp_path, OPTICAL_LINES)
@@ -636,6 +664,34 @@ def test_non_finite_quad_tol_is_a_configuration_error(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "quad_tol" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("phis", [["--phi", "inf"], ["--phi", "nan"],
+                                  ["--phi", "0", "--phi=-inf"]])
+def test_cli_fringe_rejects_non_finite_phi(tmp_path, capsys, phis):
+    cfg = write_config(tmp_path, OPTICAL_LINES)
+    out = tmp_path / "out.csv"
+    assert main(["fringe", "--config", str(cfg), "--unknown-photons", "4", *phis,
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --phi")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# Each retained mode at least doubles the dimension, so both counts are far
+# over the cap; neither mode tuple may be built or its dimension multiplied out.
+@pytest.mark.parametrize("modes", ["30000", "1000000"])
+def test_cli_verify_refuses_an_oversized_truncation_at_once(tmp_path, capsys, modes):
+    out = tmp_path / "out.csv"
+    started = time.perf_counter()
+    assert main(["verify", "--config", str(CONFIGS / "desk-verification.cfg"),
+                 "--modes", modes, "--output", str(out)]) == 1
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1 and len(err) < 200
     assert not out.exists()
 
 
