@@ -19,6 +19,11 @@ so no separate limit branch is required.
 Conventions: time dependence exp(+i omega t) exactly as in the defining
 integral; no rotating-wave approximation anywhere.  Amplitudes for a < 0
 follow from X(-a) = conj(X(a)).
+
+The counter-rotating mode sums run to infinity: modes 1..B are summed
+directly and the tail beyond B in closed form, its rational parts as Hurwitz
+zeta series evaluated here by Euler-Maclaurin summation (:func:`_hurwitz_zeta`).
+The module imports numpy and nothing of scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import zeta
 
 from .model import ParameterError, ProbeSetup, ProbeWarning, TruncationReport
 
@@ -299,6 +303,57 @@ _POWERS = np.arange(LAURENT_ORDER)
 # row k: the signed binomials of the k-th forward difference
 _DIFFERENCES = np.array([[(-1) ** (k - j) * math.comb(k, j) for j in range(PARTS_ORDER + 1)]
                          for k in range(PARTS_ORDER + 1)], dtype=float)
+# B_2, B_4, ..., B_24 as (numerator, denominator): the Bernoulli numbers of the
+# Euler-Maclaurin corrections
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+              (-3617, 510), (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730))
+_ODD = 2 * np.arange(len(_BERNOULLI)) + 1
+# the smallest argument at which _hurwitz_zeta meets double precision
+ZETA_MIN_X = 33.0
+
+
+def _zeta_weights(lead):
+    """Row k, column j - 1: B_2j / (2j)! * s (s + 1) ... (s + 2j - 2), s = lead + k,
+    rounded once from exact integers."""
+    rows = []
+    for s in range(lead, lead + LAURENT_ORDER):
+        rising, row = s, []
+        for j, (num, den) in enumerate(_BERNOULLI, start=1):
+            row.append(num * rising / (den * math.factorial(2 * j)))
+            rising *= (s + 2 * j - 1) * (s + 2 * j)
+        rows.append(row)
+    return np.array(rows)
+
+
+# the tails' leads: 3 for b/D^2, 2 for the pole part i a/(2 b D)
+_ZETA_WEIGHTS = {lead: _zeta_weights(lead) for lead in (2, 3)}
+
+
+def _hurwitz_zeta(lead, x):
+    """Hurwitz zeta(lead + k, x) for k < LAURENT_ORDER, lead 2 or 3 and x > 0.
+
+    Euler-Maclaurin summation of sum_{m>=0} (m + x)^-s with no direct terms
+    (DLMF 25.11 and 2.10):
+
+        zeta(s, x) = x^-s (x / (s - 1) + 1/2 + sum_{j=1}^{12} B_2j / (2j)!
+                     s (s + 1) ... (s + 2j - 2) x^(1 - 2j)).
+
+    The terms' derivatives keep one sign, so the remainder is at most the
+    first omitted term (j = 13), below 1e-19 relative for s <= 26 at x >= 33;
+    rounding leaves the result within 2 eps relative of the exact value.
+    The domain is x >= ZETA_MIN_X = 33, which the mode-sum tails always
+    meet: they call it with x = first - c, where first >= DIRECT_MODES + 1
+    and every pole centre c <= 0.  A smaller x (a lowered MAX_MODE) is
+    shifted into the domain by summing its first terms directly.
+    """
+    x = float(x)
+    s = lead + _POWERS
+    direct = 0.0
+    if x < ZETA_MIN_X:
+        terms = x + np.arange(math.ceil(ZETA_MIN_X - x))
+        direct = np.sum(terms[:, None] ** -s, axis=0)
+        x += len(terms)
+    return direct + x ** -s * (x / (s - 1) + 0.5 + _ZETA_WEIGHTS[lead] @ x ** -_ODD)
 
 
 def _rational_tail(kappa, zeros, poles, first):
@@ -307,7 +362,8 @@ def _rational_tail(kappa, zeros, poles, first):
     The poles are real and lie below ``first``.  The function is expanded in
     powers of 1/t, t = beta - c, about the centre c of its poles; the series
     converges for |t| > R, the half-spread of the poles, and each power sums
-    to a Hurwitz zeta value.  Expanding about the centre never forms the
+    to a Hurwitz zeta value, evaluated by Euler-Maclaurin summation
+    (:func:`_hurwitz_zeta`).  Expanding about the centre never forms the
     separate residues, which cancel when poles crowd together.  Returns
     (value, bound), the bound being the Cauchy estimate on |t| = 2R of the
     powers past LAURENT_ORDER (infinite when 2R >= first - c).
@@ -324,7 +380,7 @@ def _rational_tail(kappa, zeros, poles, first):
         series = np.convolve(series, geometric)[:LAURENT_ORDER]
     lead = len(poles) - len(zeros)
     x = first - c
-    value = complex(series @ zeta(lead + _POWERS, x))
+    value = complex(series @ _hurwitz_zeta(lead, x))
     q = 2.0 * R / x
     if q >= 1.0:
         return value, math.inf

@@ -308,8 +308,12 @@ def resolution_threshold(setup: ProbeSetup, alpha: int, resolution_floor: float 
 
     Uses the monotone decrease of the single-photon phase difference; the scan
     stops at RESOLUTION_N_CAP or at the branch-guard boundary, whichever
-    comes first.
+    comes first.  Raises :class:`ParameterError` unless resolution_floor is
+    finite and positive.
     """
+    # written as "not (...)" so that NaN is rejected too
+    if not 0.0 < resolution_floor < math.inf:
+        raise ParameterError(f"resolution_floor must be finite and positive, got {resolution_floor}")
     comps = phase_components(setup, alpha)
 
     def above(n):
@@ -349,8 +353,11 @@ def fringe(
     visibilities and dgamma = gamma(unknown) - gamma(known), taken as
     arg(A_unknown / A_known): exact, since the branch guard keeps both phases
     in (-pi/2, pi/2).  The pair always sums to 1.  A sequence of reference
-    phases gives arrays, from one evaluation of the two amplitudes.
+    phases gives arrays, from one evaluation of the two amplitudes.  Raises
+    :class:`ParameterError` for a reference phase that is not finite.
     """
+    if not np.isfinite(reference_phase).all():
+        raise ParameterError(f"reference_phase must be finite, got {reference_phase}")
     preps = (prep_known, prep_unknown)
     for prep in preps:
         _warn_validity(validity(setup, prep))

@@ -50,7 +50,6 @@ from functools import cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy import sparse
 
 from .amplitudes import ConvergenceError, _chebyshev_coefficients, _lobatto_nodes
 from .model import (
@@ -154,6 +153,8 @@ class _OracleSpace:
     """
 
     def __init__(self, truncation: HilbertTruncation):
+        from scipy import sparse  # here, so that importing fockprobe loads no scipy
+
         modes = sorted(truncation.modes)
         self.betas = np.array([b for b, _ in modes])
         self.dims = [nmax + 1 for _, nmax in modes]
@@ -218,6 +219,8 @@ def _coefficients(setup: ProbeSetup, betas, t):
 
 def build_hamiltonian(setup: ProbeSetup, truncation: HilbertTruncation, t: float):
     """Sparse Hermitian H(t) = [[0, F(t)^dag], [F(t), 0]] on the truncated space."""
+    from scipy import sparse
+
     space = _OracleSpace(truncation)
     w = _coefficients(setup, space.betas, t)
     F = sparse.kron(w[None, :], sparse.identity(space.field_dim)) @ space.ladders

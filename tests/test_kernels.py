@@ -204,6 +204,43 @@ def test_mode_sums_survive_a_vanishing_gap(gap):
         assert cmath.isfinite(value) and report.converged
 
 
+# arguments x = B + 1 - c of the tails' Hurwitz zeta values, from the
+# domain's edge (B = 32, c = 0) to far past MAX_MODE
+ZETA_ARGUMENTS = [33.0, 33.7, 40.2, 64.5, 100.0, 1000.3, 10001.9, 2e4, 1e6]
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("lead", [2, 3])
+def test_hurwitz_zeta_matches_scipy(lead):
+    from scipy.special import zeta
+
+    orders = lead + np.arange(amplitudes.LAURENT_ORDER)
+    for x in ZETA_ARGUMENTS:
+        np.testing.assert_allclose(amplitudes._hurwitz_zeta(lead, x), zeta(orders, x),
+                                   rtol=4 * EPS, atol=0, err_msg=f"x = {x}")
+
+
+@pytest.mark.parametrize("lead", [2, 3])
+def test_hurwitz_zeta_matches_high_precision(lead):
+    mpmath = pytest.importorskip("mpmath")
+    # at 40 digits the values near 33^-26 lose relative accuracy; 150 do not
+    with mpmath.workdps(150):
+        exact = [[float(mpmath.zeta(lead + k, x)) for k in range(amplitudes.LAURENT_ORDER)]
+                 for x in ZETA_ARGUMENTS]
+    got = [amplitudes._hurwitz_zeta(lead, x) for x in ZETA_ARGUMENTS]
+    np.testing.assert_allclose(got, exact, rtol=2 * EPS, atol=0)
+
+
+@pytest.mark.parametrize("x", [2.0, 6.000002, 32.99])
+def test_hurwitz_zeta_below_its_domain_sums_the_first_terms(x):
+    # reached only when MAX_MODE is lowered below DIRECT_MODES
+    from scipy.special import zeta
+
+    orders = 3 + np.arange(amplitudes.LAURENT_ORDER)
+    np.testing.assert_allclose(amplitudes._hurwitz_zeta(3, x), zeta(orders, x),
+                               rtol=8 * EPS, atol=0)
+
+
 def test_c_closed_structure():
     setup = resonant(2)
     prep = prepare_field(setup, 2, 1)

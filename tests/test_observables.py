@@ -234,6 +234,21 @@ def test_resolution_rows_and_threshold():
     assert delta_gamma_exact(setup, 2, threshold + 1, 1) < 1e-4
 
 
+@pytest.mark.parametrize("floor", [math.nan, -1.0, 0.0, math.inf])
+def test_resolution_threshold_rejects_unusable_floor(floor):
+    # nan returned 0, -1 and 0 the scan cap, inf None, all without a word
+    with pytest.raises(ParameterError, match="resolution_floor"):
+        resolution_threshold(optical(), 2, resolution_floor=floor)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, [0.0, math.nan]])
+def test_fringe_rejects_non_finite_reference_phase(phi):
+    setup = natural()
+    known, unknown = prepare_field(setup, 2, 1), prepare_field(setup, 2, 9)
+    with pytest.raises(ParameterError, match="reference_phase"):
+        fringe(setup, known, unknown, phi)
+
+
 def test_branch_guard_raises_and_warns():
     # detuned microcavity whose A(2000) has real part -0.29
     detuned = build_setup(1e-6, 1000.0, resonant_with_mode=2, detuning=3e6,

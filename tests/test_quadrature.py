@@ -186,6 +186,18 @@ def test_cli_import_leaves_scipy_integrate_out():
     assert result.stdout.strip() == "False"
 
 
+def test_package_import_leaves_scipy_out():
+    # scipy.special (zeta) and scipy.sparse (the oracle) cost ~0.2 s of start-up
+    src = str(Path(fockprobe.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = ("import sys, fockprobe, fockprobe.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("quadrature, beta, a", [
     (c_quadrature, 5000, 100.0),   # 31457 overlap nodes x 96 inner nodes
     (x_quadrature, 6300, 1.0e6),   # by parts would round badly; 2^20 + 1 product nodes
