@@ -44,6 +44,9 @@ class ConvergenceError(RuntimeError):
 def _check_mode_sign(beta, sign):
     if beta != int(beta) or beta < 1:
         raise ParameterError(f"mode index must be a positive integer, got {beta}")
+    if beta > 2 ** 53:
+        raise ParameterError(f"mode index {beta} exceeds 2**53, above which "
+                             "neighbouring modes round to the same double")
     if sign not in (+1, -1):
         raise ParameterError(f"sign must be +1 or -1, got {sign!r}")
 

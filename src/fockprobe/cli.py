@@ -6,10 +6,10 @@ writing to a file -- drops a JSON manifest next to it recording the resolved
 configuration and all warnings.  The warnings also go to stderr unless
 --quiet is given.  Only ``sweep`` accepts ``sweep.*`` keys; ``resolution``
 runs as the resolution sweep its flags describe.  ``main`` resolves the
-configuration and applies the validity guard once, at the largest photon
-number the subcommand evaluates (for a sweep, at the row with the largest
-estimator), before handing both to the subcommand.  Exit codes: 0 success,
-1 configuration error, 2 numerical failure, 3 validity-guard violation.
+configuration and applies the validity guard once, with the estimator of
+``sweeps.largest_validity``, before handing both to the subcommand; the guard
+warns whenever that estimator is not "ok".  Exit codes: 0 success, 1
+configuration error, 2 numerical failure, 3 validity-guard violation.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .kernels import c_closed, c_quadrature, mode_sum_offres
 from .model import ParameterError, prepare_field
 from .observables import (
     BranchError,
-    _validity,
     _warn_validity,
     classify_validity,
     eta_phase,
@@ -133,6 +132,15 @@ def _signs(flag: str):
     return {"+": [+1], "-": [-1], "both": [+1, -1]}[flag]
 
 
+def _photon_number(flag: str, value: int) -> int:
+    """``value`` of a photon-number flag, held to field.photons' rule: a finite float."""
+    try:
+        float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"bad value for {flag}: {value} ({exc})") from None
+    return value
+
+
 def _resolution_request(args) -> SweepRequest:
     """The resolution sweep ``resolution`` runs: n = 0, --n-step, ..., --n-max for each --m."""
     if args.n_step < 1:
@@ -144,42 +152,28 @@ def _resolution_request(args) -> SweepRequest:
     m_values = sorted(set(args.m)) if args.m else [1]
     if m_values[0] < 1:
         raise ConfigError(f"--m must be a positive integer, got {m_values[0]}")
-    n_values = range(0, args.n_max + 1, args.n_step)
-    if len(n_values) * len(m_values) > MAX_SWEEP_ROWS:
+    _photon_number("--n-max", args.n_max)
+    _photon_number("--m", m_values[-1])
+    # counted before any range is built, whose len() would overflow first
+    if (args.n_max // args.n_step + 1) * len(m_values) > MAX_SWEEP_ROWS:
         raise ConfigError(
             f"resolution grid has more than MAX_SWEEP_ROWS = {MAX_SWEEP_ROWS} rows"
         )
-    return SweepRequest(variable="n", values=tuple(n_values), observable="resolution",
-                        m_values=tuple(m_values))
-
-
-def _largest_validity(args, resolved):
-    """Validity estimator at the largest photon number the subcommand evaluates.
-
-    For a sweep, ``resolution`` included, it is the largest over all rows
-    (speed and coupling ratio move it too); None when none is evaluated.
-    """
-    if args.command in ("amplitudes", "kernels"):
-        return None
-    if resolved.sweep is not None:
-        return largest_validity(resolved)
-    if args.command == "fringe":
-        photons = max(resolved.prep.photons, args.unknown_photons)
-    else:
-        photons = resolved.prep.photons
-    return _validity(resolved.setup, photons)
+    return SweepRequest(variable="n", values=tuple(range(0, args.n_max + 1, args.n_step)),
+                        observable="resolution", m_values=tuple(m_values))
 
 
 def _guard_validity(args, resolved) -> int:
     """EXIT_VALIDITY when the largest estimator the subcommand evaluates is invalid.
 
-    Otherwise, or with --force, EXIT_OK; a forced run records the estimator
-    as a warning.
+    Otherwise, or with --force, EXIT_OK, and an estimator that is not "ok" is
+    recorded as a warning; ``amplitudes`` and ``kernels`` evaluate none.
     """
-    value = _largest_validity(args, resolved)
-    if value is None or classify_validity(value) != "invalid":
+    if args.command in ("amplitudes", "kernels"):
         return EXIT_OK
-    if not args.force:
+    unknown = _photon_number("--unknown-photons", getattr(args, "unknown_photons", 0))
+    value = largest_validity(resolved, unknown)
+    if classify_validity(value) == "invalid" and not args.force:
         sys.stderr.write(
             f"validity estimator {value:.3g} >= 1: perturbative output untrusted "
             "(rerun with --force to proceed)\n"

@@ -30,7 +30,7 @@ integration matrix, so the carriers are integrated rather than stepped
 through.  H conserves (atom excitation + total photons) mod 2, so only the
 sector of |g, n> is carried, and as H is block off-diagonal a sweep updates
 its excited half from the ground half, then the ground half from the new
-excited half (Gauss-Seidel order).
+excited half (Gauss-Seidel order).  The two halves are the only state.
 
 The overlap with the initial state yields a numerically exact eta to compare
 with the second-order closed forms; the mismatch must shrink like lambda^4.
@@ -274,7 +274,7 @@ class _PicardPropagator:
         self.evaluations = 0   # node evaluations of H psi, rejected blocks included
 
     def run(self, start):
-        """psi(T) on the full space for psi(0) = |g, field index ``start``>."""
+        """(ground, excited) halves of psi(T), on sectors p and 1 - p, from |g, ``start``>."""
         space, parity = self.space, self.space.parity[start]
         # (ground, excited) field indices, and the stacks of F and F^dag
         halves = space.sectors[parity], space.sectors[1 - parity]
@@ -285,12 +285,8 @@ class _PicardPropagator:
         self.work = np.empty(size * max(stack.shape[1] for stack in self.stacks), dtype=complex)
         h = self.setup.crossing_time / self.panel_count
         # start is a ground-sector index: the excited half starts empty
-        end = self._march([(half == start).astype(complex) for half in halves],
-                          0.0, h, self.panel_count, 0)
-        psi_T = np.zeros(space.dim, dtype=complex)
-        for atom, (half, values) in enumerate(zip(halves, end)):
-            psi_T[atom * space.field_dim + half] = values
-        return psi_T
+        return self._march([(half == start).astype(complex) for half in halves],
+                           0.0, h, self.panel_count, 0)
 
     def _march(self, psi, start, h, panels, halvings):
         if self.budget * h * self.norm <= 0.5:
@@ -391,7 +387,8 @@ def evolve(
     is redone with halved panels unless the last two Chebyshev coefficients
     of every panel's integrand are at most rtol = ``integ_tol`` relative to
     the block's largest |H psi|.  Only the photon-parity sector of |g, n> is
-    propagated, a sweep updating its excited half and then its ground half.
+    propagated, a sweep updating its excited half and then its ground half;
+    the overlap, p_excite and norm are read from the two halves.
     ``step_report`` records the panels taken (``steps``), the node
     evaluations of H psi, one per node and sweep (``rhs_evaluations``), both
     tolerances and the dimension of the whole truncated space.  Raises
@@ -411,20 +408,18 @@ def evolve(
 
     space = _OracleSpace(truncation)
     start = space.initial_index(prep)
-    psi0 = np.zeros(space.dim, dtype=complex)
-    psi0[start] = 1.0
     propagator = _PicardPropagator(space, setup, integ_tol)
-    psi_T = propagator.run(start)
+    ground, excited = propagator.run(start)
     rtol = integ_tol
     atol = integ_tol * 1e-2
-    overlap = complex(np.vdot(psi0, psi_T))
-    norm_drift = abs(float(np.linalg.norm(psi_T)) - 1.0)
+    overlap = complex(ground[np.searchsorted(space.sectors[space.parity[start]], start)])
+    norm_drift = abs(math.hypot(np.linalg.norm(ground), np.linalg.norm(excited)) - 1.0)
     if norm_drift > 10.0 * integ_tol:
         raise ConvergenceError(
             f"norm drift {norm_drift:.3g} exceeds unitarity bound "
             f"{10.0 * integ_tol:.3g}; tighten integ_tol"
         )
-    p_excite = float(np.sum(np.abs(psi_T[space.field_dim:]) ** 2))
+    p_excite = float(np.sum(np.abs(excited) ** 2))
     return OracleResult(
         overlap=overlap,
         eta_numeric=-1j * cmath.log(overlap),
@@ -472,7 +467,6 @@ def convergence_scan(
     else:
         _check_integ_tol(integ_tol)
     rows = []
-    values = []
     for level in range(levels):
         if axis == "modes":
             param = prep.mode + 1 + level
@@ -488,24 +482,19 @@ def convergence_scan(
             trunc = default_truncation(prep, headroom=headroom, others_max=others_max)
             tol = param
         result = evolve(setup, prep, trunc, integ_tol=tol)
-        gamma = result.eta_numeric.real
-        values.append((gamma, result.p_excite_numeric))
         rows.append(
             {
                 "axis": axis,
                 "value": param,
-                "gamma": gamma,
+                "gamma": result.eta_numeric.real,
                 "p_excite": result.p_excite_numeric,
                 "norm_drift": result.norm_drift,
                 "dimension": result.step_report["dimension"],
             }
         )
-    converged = False
-    if len(values) >= 2:
-        (g0, p0), (g1, p1) = values[-2], values[-1]
-        dg = abs(g1 - g0) / max(abs(g1), 1e-300)
-        dp = abs(p1 - p0) / max(abs(p1), 1e-300)
-        converged = dg < SCAN_RELATIVE_TOL and dp < SCAN_RELATIVE_TOL
+    converged = len(rows) >= 2 and all(
+        abs(rows[-1][key] - rows[-2][key]) / max(abs(rows[-1][key]), 1e-300)
+        < SCAN_RELATIVE_TOL for key in ("gamma", "p_excite"))
     if not converged:
         warnings.warn(
             f"convergence scan along {axis!r} not converged at "

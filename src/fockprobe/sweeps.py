@@ -87,26 +87,29 @@ def _rebuilt_amplitudes(resolved: ResolvedConfig):
     return amplitudes, validities, failed
 
 
-def largest_validity(resolved: ResolvedConfig) -> float:
-    """Largest validity estimator any row of the sweep evaluates, from the configuration alone.
+def largest_validity(resolved: ResolvedConfig, other_arm: int = 0) -> float:
+    """Largest validity estimator the run evaluates, from the configuration alone.
 
     The estimator (lambda/Omega) n L/v grows with the photon number and the
     coupling ratio and falls with the speed; the detuning leaves it alone.  A
     speed outside 0 < v < c fails its row before anything is evaluated.  The
     largest photon number is the largest n plus the largest of sweep.m_values
     in an n sweep, field.photons plus the largest m in an m sweep, and
-    field.photons otherwise.
+    field.photons otherwise, or ``other_arm`` (the photon number of a fringe's
+    unknown arm) when that is larger.  A run without a sweep scores as a
+    delta sweep does.
     """
     request, setup = resolved.sweep, resolved.setup
-    photons = resolved.prep.photons
-    if request.variable == "n":
+    photons = max(resolved.prep.photons, other_arm)
+    variable = None if request is None else request.variable
+    if variable == "n":
         photons = max(request.values) + max(request.m_values, default=0)
-    elif request.variable == "m":
+    elif variable == "m":
         photons += max(request.values)
-    elif request.variable == "speed":
+    elif variable == "speed":
         speeds = [v for v in request.values if 0 < v < setup.light_speed]
         setup = replace(setup, atom_speed=min(speeds, default=setup.atom_speed))
-    elif request.variable == "coupling_ratio":
+    elif variable == "coupling_ratio":
         setup = replace(setup, coupling=max(request.values) * setup.atom_gap)
     return _validity(setup, photons)
 

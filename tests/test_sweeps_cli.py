@@ -606,6 +606,10 @@ def test_validity_guard_judges_the_whole_sweep_grid(tmp_path, capsys, variable, 
     assert any(w.startswith("validity estimator 5 is invalid") for w in manifest["warnings"])
 
 
+# A photon number of 401 digits converts to no float, like field.photons = 1e400.
+BEYOND_FLOAT = str(10**400)
+
+
 @pytest.mark.parametrize("grid", [
     ["--n-step", "0"],
     ["--n-step", "-1"],
@@ -615,6 +619,9 @@ def test_validity_guard_judges_the_whole_sweep_grid(tmp_path, capsys, variable, 
     ["--floor", "nan"],
     ["--floor", "-1"],
     ["--floor", "inf"],
+    ["--n-max", str(10**20)],
+    ["--n-max", BEYOND_FLOAT, "--n-step", BEYOND_FLOAT],
+    ["--m", BEYOND_FLOAT],
 ])
 def test_cli_resolution_rejects_unusable_grid(tmp_path, capsys, grid):
     cfg = write_config(tmp_path, OPTICAL_LINES)
@@ -622,6 +629,58 @@ def test_cli_resolution_rejects_unusable_grid(tmp_path, capsys, grid):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]])
+def test_cli_fringe_rejects_an_unknown_arm_beyond_a_float(tmp_path, capsys, force):
+    cfg = write_config(tmp_path, OPTICAL_LINES)
+    out = tmp_path / "out.csv"
+    assert main(["fringe", "--config", str(cfg), "--unknown-photons", BEYOND_FLOAT,
+                 "--output", str(out), *force]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: bad value for --unknown-photons")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# Above 2**53 neighbouring modes are the same double; 2**63 passed the integer
+# check and cast to a negative int, 10**400 converted to no float at all.
+@pytest.mark.parametrize("command", ["amplitudes", "kernels"])
+@pytest.mark.parametrize("mode", [str(2**53 + 1), str(2**63), BEYOND_FLOAT],
+                         ids=["2**53+1", "2**63", "10**400"])
+def test_cli_refuses_a_mode_beyond_exact_doubles(tmp_path, capsys, command, mode):
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(CONFIGS / "optical-microcavity.cfg"),
+                 "--mode", "1", "--mode", mode, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: mode index")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# The desk point with lambda/Omega = 1e-3 scores 0.2 at field.photons = 2;
+# each command's largest photon number sets its estimator.
+DESK_MARGINAL = {"units.mode": "natural", "cavity.length": "1", "atom.speed": "1e-2",
+                 "atom.coupling_ratio": "1e-3", "field.mode": "2", "field.photons": "2"}
+
+
+@pytest.mark.parametrize("command, sweep, value", [
+    (["transition"], {}, "0.2"),
+    (["phase"], {}, "0.2"),
+    (["resolution", "--n-max", "3"], {}, "0.4"),
+    (["fringe", "--unknown-photons", "3"], {}, "0.3"),
+    (["verify"], {}, "0.2"),
+    (["sweep"], {"sweep.variable": "n", "sweep.values": "1, 2, 3"}, "0.3"),
+])
+def test_every_guarded_command_warns_a_marginal_estimator(tmp_path, capsys, command, sweep,
+                                                          value):
+    cfg = write_config(tmp_path, {**DESK_MARGINAL, **sweep})
+    out = tmp_path / "out.csv"
+    assert main([*command, "--config", str(cfg), "--output", str(out)]) == 0
+    expected = f"validity estimator {value} is marginal"
+    assert expected in capsys.readouterr().err
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert any(w.startswith(expected) for w in manifest["warnings"])
 
 
 # A gap of 1e300 makes lambda = 1e296 and (lambda T)^2 = 1e598.
