@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from functools import cache
 
 import numpy as np
 
@@ -246,12 +247,25 @@ def _by_parts(coefs, a, floor):
     return total, previous + last
 
 
+@cache
+def _envelope_coefficients(beta, degree):
+    """Chebyshev coefficients of sin(b x), x in [0, 1], on degree + 1 Lobatto nodes.
+
+    The envelope depends on the mode alone (b = beta pi), so both signs and
+    every setup share one evaluation per (beta, degree)."""
+    nodes = _lobatto_nodes(degree)
+    coefficients = _chebyshev_coefficients(np.sin(0.5 * (beta * np.pi) * (1.0 + nodes)))
+    coefficients.flags.writeable = False
+    return coefficients
+
+
 def x_quadrature(setup: ProbeSetup, beta: int, sign: int, quad_tol: float = 1e-10) -> complex:
     """Transit amplitude by numerical integration (oracle path).
 
     Interpolates the envelope sin(b x) on floor(b) + INTERPOLANT_MARGIN + 1
-    Chebyshev-Lobatto nodes and integrates it against exp(i a x) with
-    :func:`_fourier_chebyshev`, independent of :func:`x_closed`.  Raises
+    Chebyshev-Lobatto nodes (once per mode, :func:`_envelope_coefficients`)
+    and integrates it against exp(i a x) with :func:`_fourier_chebyshev`,
+    independent of :func:`x_closed`.  Raises
     :class:`ConvergenceError` when the error estimate exceeds
     ``quad_tol * max(|X|, T)``.
     """
@@ -261,8 +275,7 @@ def x_quadrature(setup: ProbeSetup, beta: int, sign: int, quad_tol: float = 1e-1
     T = setup.crossing_time
     degree = int(b) + INTERPOLANT_MARGIN
     _check_samples(degree + 1)
-    nodes = _lobatto_nodes(degree)
-    integral, err = _fourier_chebyshev(_chebyshev_coefficients(np.sin(0.5 * b * (1.0 + nodes))), a)
+    integral, err = _fourier_chebyshev(_envelope_coefficients(beta, degree), a)
     value = T * integral / np.sqrt(b)
     err = T * err / np.sqrt(b)
     bound = quad_tol * max(abs(value), T)

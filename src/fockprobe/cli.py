@@ -24,9 +24,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .amplitudes import ConvergenceError, x_closed, x_quadrature
+from .amplitudes import ConvergenceError, _check_mode_sign, _closed_array, x_quadrature
 from .config import MAX_SWEEP_ROWS, ConfigError, SweepRequest, parse_config, resolve_mapping
-from .kernels import c_closed, c_quadrature, mode_sum_offres
+from .kernels import _reduced_kernel, c_quadrature, mode_sum_offres
 from .model import ParameterError, prepare_field
 from .observables import (
     BranchError,
@@ -183,18 +183,36 @@ def _guard_validity(args, resolved) -> int:
     return EXIT_OK
 
 
+def _certify(args, setup, closed_array, quadrature):
+    """(beta, sign, closed form, quadrature or None) per row, mode then sign.
+
+    Every --mode is checked before any array is built (10**400 would
+    overflow one); the closed forms come from one ``closed_array`` call per
+    sign over the sorted modes, the quadratures from one scalar call per row,
+    in row order, with --quadrature-check only.
+    """
+    modes = sorted(set(args.mode))
+    signs = _signs(args.sign)
+    for beta in modes:
+        for sign in signs:
+            _check_mode_sign(beta, sign)
+    closed = {sign: closed_array(setup, modes, sign).tolist() for sign in signs}
+    return [(beta, sign, closed[sign][i],
+             quadrature(setup, beta, sign, quad_tol=args.quad_tol)
+             if args.quadrature_check else None)
+            for i, beta in enumerate(modes) for sign in signs]
+
+
 def _cmd_amplitudes(args, resolved, caught) -> int:
     header = ["beta", "sign", "re_closed", "im_closed", "re_quad", "im_quad", "abs_err"]
     rows = []
-    for beta in sorted(set(args.mode)):
-        for sign in _signs(args.sign):
-            closed = x_closed(resolved.setup, beta, sign)
-            if args.quadrature_check:
-                quadv = x_quadrature(resolved.setup, beta, sign, quad_tol=args.quad_tol)
-                rows.append([beta, f"{sign:+d}", closed.real, closed.imag,
-                             quadv.real, quadv.imag, abs(closed - quadv)])
-            else:
-                rows.append([beta, f"{sign:+d}", closed.real, closed.imag, "", "", ""])
+    for beta, sign, closed, quadv in _certify(args, resolved.setup, _closed_array,
+                                              x_quadrature):
+        if quadv is None:
+            rows.append([beta, f"{sign:+d}", closed.real, closed.imag, "", "", ""])
+        else:
+            rows.append([beta, f"{sign:+d}", closed.real, closed.imag,
+                         quadv.real, quadv.imag, abs(closed - quadv)])
     write_outputs(args.output, header, rows, resolved, "amplitudes", _messages(caught),
                   quiet=args.quiet)
     return EXIT_OK
@@ -203,15 +221,14 @@ def _cmd_amplitudes(args, resolved, caught) -> int:
 def _cmd_kernels(args, resolved, caught) -> int:
     header = ["beta", "sign", "re_closed", "im_closed", "re_quad", "im_quad"]
     rows = []
-    for beta in sorted(set(args.mode)):
-        for sign in _signs(args.sign):
-            closed = c_closed(resolved.setup, beta, sign)
-            if args.quadrature_check:
-                quadv = c_quadrature(resolved.setup, beta, sign, quad_tol=args.quad_tol)
-                rows.append([beta, f"{sign:+d}", closed.real, closed.imag,
-                             quadv.real, quadv.imag])
-            else:
-                rows.append([beta, f"{sign:+d}", closed.real, closed.imag, "", ""])
+    kernel_array = functools.partial(_closed_array, reduced=_reduced_kernel, order=2)
+    for beta, sign, closed, quadv in _certify(args, resolved.setup, kernel_array,
+                                              c_quadrature):
+        if quadv is None:
+            rows.append([beta, f"{sign:+d}", closed.real, closed.imag, "", ""])
+        else:
+            rows.append([beta, f"{sign:+d}", closed.real, closed.imag,
+                         quadv.real, quadv.imag])
     extra = None
     if args.mode_sum:
         total, report = mode_sum_offres(resolved.setup, resolved.prep)

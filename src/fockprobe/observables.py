@@ -306,10 +306,14 @@ def delta_gamma_linear(setup: ProbeSetup, alpha: int, m: int) -> float:
 def resolution_threshold(setup: ProbeSetup, alpha: int, resolution_floor: float = 1e-4):
     """Largest n with delta_1 gamma(n) >= resolution_floor, or None if already below at n=0.
 
-    Uses the monotone decrease of the single-photon phase difference; the scan
-    stops at RESOLUTION_N_CAP or at the branch-guard boundary, whichever
-    comes first.  Raises :class:`ParameterError` unless resolution_floor is
-    finite and positive.
+    Assumes that the single-photon phase difference decreases monotonically
+    in n, which it need not do: the points A(n) lie on a line, and the angle
+    one step subtends at the origin peaks where that line passes closest to
+    it.  Doubles n from 1, then bisects the last step; a row past the
+    branch-guard boundary counts as below the floor.  When the doubling
+    reaches RESOLUTION_N_CAP still above the floor, returns the cap and warns
+    that the threshold lies above it.  Raises :class:`ParameterError` unless
+    resolution_floor is finite and positive.
     """
     # written as "not (...)" so that NaN is rejected too
     if not 0.0 < resolution_floor < math.inf:
@@ -324,14 +328,18 @@ def resolution_threshold(setup: ProbeSetup, alpha: int, resolution_floor: float 
     if delta_gamma_exact(setup, alpha, 0, 1, components=comps) < resolution_floor:
         return None
     lo, hi = 0, 1
-    while hi <= RESOLUTION_N_CAP:
-        if not above(hi):
-            break
+    while above(hi):
         lo = hi
-        hi *= 2
-    else:
-        return RESOLUTION_N_CAP
-    hi = min(hi, RESOLUTION_N_CAP)
+        if hi == RESOLUTION_N_CAP:
+            warnings.warn(
+                f"single-photon resolution at floor {resolution_floor:g} rad holds up to "
+                f"RESOLUTION_N_CAP = {RESOLUTION_N_CAP}, where the scan stops: the "
+                "threshold lies above the cap reported in its place",
+                ProbeWarning,
+                stacklevel=2,
+            )
+            return RESOLUTION_N_CAP
+        hi = min(2 * hi, RESOLUTION_N_CAP)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if above(mid):

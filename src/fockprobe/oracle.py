@@ -66,6 +66,9 @@ DIMENSION_CAP = 200_000
 # integrand bottoms out near 2e-15 in rounding, so a smaller bound on it
 # could be met only by luck.
 INTEG_TOL_FLOOR = 100.0 * np.finfo(float).eps
+# integ_tol must lie below this: at 0.1 the unitarity bound 10 * integ_tol
+# lets the norm be off by 100%.
+INTEG_TOL_CEILING = 0.1
 
 CHEB_DEGREE = 32       # Chebyshev-Lobatto nodes per panel: CHEB_DEGREE + 1
 PANEL_PHASE = 8.0      # half the fastest carrier phase one panel spans
@@ -229,11 +232,12 @@ def build_hamiltonian(setup: ProbeSetup, truncation: HilbertTruncation, t: float
 
 def _check_integ_tol(integ_tol: float, label: str = "integ_tol") -> None:
     # written as "not (...)" so that NaN is rejected too
-    if not INTEG_TOL_FLOOR <= integ_tol < np.inf:
+    if not INTEG_TOL_FLOOR <= integ_tol < INTEG_TOL_CEILING:
         raise ConvergenceError(
-            f"{label} {integ_tol:.3g} is unusable: it must be finite and at "
-            f"least {INTEG_TOL_FLOOR:.3g}, the tightest rtol the propagator "
-            f"certifies (100 x machine epsilon)"
+            f"{label} {integ_tol:.3g} is unusable: it must be at least "
+            f"{INTEG_TOL_FLOOR:.3g}, the tightest rtol the propagator certifies "
+            f"(100 x machine epsilon), and below {INTEG_TOL_CEILING:g}, where the "
+            f"unitarity bound 10 x integ_tol lets the norm be off by 100%"
         )
 
 
@@ -395,10 +399,11 @@ def evolve(
     :class:`ConvergenceError` before integrating if ``integ_tol`` is below
     :data:`INTEG_TOL_FLOOR` (100 * machine epsilon, ~2.2e-14: the Chebyshev
     tail bottoms out near 2e-15 in rounding, so a tighter rtol cannot be
-    certified) or is NaN or infinite; when a block's sweeps or panel halvings
-    hit their cap; and after integrating if the final norm drifts by more
-    than 10 * integ_tol (unitarity bound).  Warns when the validity estimator
-    is outside the trusted range.
+    certified), is at least :data:`INTEG_TOL_CEILING` (0.1, where the
+    unitarity bound below allows a norm off by 100%) or is NaN; when a
+    block's sweeps or panel halvings hit their cap; and after integrating if
+    the final norm drifts by more than 10 * integ_tol (unitarity bound).
+    Warns when the validity estimator is outside the trusted range.
     """
     _check_integ_tol(integ_tol)
     if truncation is None:
@@ -453,19 +458,19 @@ def convergence_scan(
 
     axis "modes" grows the retained mode set, "headroom" the probed-mode cap,
     "integ_tol" tightens the integrator.  Convergence is declared when the
-    last two gamma and p_excite values agree to 1e-3 relative.  The tightest
-    tolerance the scan will use is checked against :data:`INTEG_TOL_FLOOR`
-    before any level runs.  Returns (rows, converged); each row is a dict
-    suitable for CSV emission.
+    last two gamma and p_excite values agree to 1e-3 relative.  The loosest
+    and the tightest tolerance the scan will use are checked against
+    :data:`INTEG_TOL_CEILING` and :data:`INTEG_TOL_FLOOR` before any level
+    runs.  Returns (rows, converged); each row is a dict suitable for CSV
+    emission.
     """
     if axis not in SCAN_AXES:
         raise ParameterError(f"axis must be one of {SCAN_AXES}, got {axis!r}")
+    _check_integ_tol(integ_tol)
     if axis == "integ_tol":
         last = max(levels - 1, 0)
         _check_integ_tol(integ_tol * 10.0 ** (-last),
-                           f"scan tolerance integ_tol * 1e-{last} =")
-    else:
-        _check_integ_tol(integ_tol)
+                         f"scan tolerance integ_tol * 1e-{last} =")
     rows = []
     for level in range(levels):
         if axis == "modes":

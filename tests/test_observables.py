@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from fockprobe import (
     transition_probability,
     validity,
 )
-from fockprobe.observables import delta_gamma_rows, eta_rows
+from fockprobe.observables import RESOLUTION_N_CAP, delta_gamma_rows, eta_rows
 from fockprobe.sweeps import compute_rows
 
 
@@ -232,6 +233,19 @@ def test_resolution_rows_and_threshold():
     assert threshold is not None
     assert delta_gamma_exact(setup, 2, threshold, 1) >= 1e-4
     assert delta_gamma_exact(setup, 2, threshold + 1, 1) < 1e-4
+
+
+def test_resolution_threshold_between_the_last_doubling_and_the_cap():
+    # the doubling passes 2**23 and stops at the cap; a threshold between
+    # the two used to be reported as the cap
+    setup = optical()
+    floor = delta_gamma_exact(setup, 2, 9_000_000, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ProbeWarning)
+        threshold = resolution_threshold(setup, 2, resolution_floor=floor)
+    assert 2**23 < threshold < RESOLUTION_N_CAP
+    assert delta_gamma_exact(setup, 2, threshold, 1) >= floor
+    assert delta_gamma_exact(setup, 2, threshold + 1, 1) < floor
 
 
 @pytest.mark.parametrize("floor", [math.nan, -1.0, 0.0, math.inf])

@@ -206,9 +206,14 @@ def _forbid(monkeypatch, name):
     monkeypatch.setattr(oracle, name, called)
 
 
-@pytest.mark.parametrize(
-    "tol", [float("nan"), float("inf"), 0.0, -1.0, INTEG_TOL_FLOOR / 2]
-)
+# below the floor, or at and above the ceiling of 0.1, where the unitarity
+# bound lets the norm be off by 100% (1e300 used to stop every block after
+# one sweep and pass)
+UNUSABLE_TOLERANCES = [float("nan"), float("inf"), 0.0, -1.0, INTEG_TOL_FLOOR / 2,
+                       0.1, 1.0, 1e300]
+
+
+@pytest.mark.parametrize("tol", UNUSABLE_TOLERANCES)
 def test_unusable_tolerance_rejected_before_integration(tol, monkeypatch):
     _forbid(monkeypatch, "_PicardPropagator")
     setup = fast(ratio=1e-4)
@@ -324,8 +329,11 @@ def test_convergence_scan_rejects_unusable_level_before_evolving(monkeypatch):
     # levels 1e-12, 1e-13 are reachable; the third, 1e-14, is not
     with pytest.raises(ConvergenceError, match="tightest rtol"):
         convergence_scan(setup, prep, "integ_tol", levels=3, integ_tol=1e-12)
-    with pytest.raises(ConvergenceError, match="tightest rtol"):
-        convergence_scan(setup, prep, "headroom", integ_tol=float("nan"))
+    # on the integ_tol axis the first level is the loosest
+    for axis in ("integ_tol", "headroom"):
+        for tol in UNUSABLE_TOLERANCES:
+            with pytest.raises(ConvergenceError, match="tightest rtol"):
+                convergence_scan(setup, prep, axis, levels=3, integ_tol=tol)
 
 
 def test_convergence_scan_headroom_axis_converges():

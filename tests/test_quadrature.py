@@ -28,6 +28,7 @@ from fockprobe import (
 )
 from fockprobe import amplitudes, kernels
 from fockprobe.amplitudes import (
+    INTERPOLANT_MARGIN,
     _chebyshev_coefficients,
     _fourier_chebyshev,
     _lobatto_nodes,
@@ -165,6 +166,29 @@ def test_unresolved_interpolant_raises(monkeypatch, module, quadrature, margin, 
     monkeypatch.setattr(module, "INTERPOLANT_MARGIN", margin)
     with pytest.raises(ConvergenceError):
         quadrature(resonant(2), 9, sign)
+
+
+# Both interpolants depend on the mode alone: sin(b x) for X, the overlap K(s)
+# for C, each on floor(b) or floor(2 b) + INTERPOLANT_MARGIN + 1 nodes.
+@pytest.mark.parametrize("quadrature, cached, phase_multiple", [
+    (x_quadrature, amplitudes._envelope_coefficients, 1),
+    (c_quadrature, kernels._overlap_coefficients, 2),
+], ids=["envelope", "overlap"])
+def test_interpolant_is_built_once_per_mode(quadrature, cached, phase_multiple):
+    beta = 3
+    degree = int(phase_multiple * beta * math.pi) + INTERPOLANT_MARGIN
+    cached.cache_clear()
+    setups = [natural_at(beta, 20.0), natural_at(beta, 300.0, speed=1e-2), MICROCAVITY]
+    for setup in setups:
+        for sign in (+1, -1):
+            quadrature(setup, beta, sign)
+    info = cached.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
+    coefficients = cached(beta, degree)
+    assert not coefficients.flags.writeable
+    with pytest.raises(ValueError):
+        coefficients[0] = 0.0
+    np.testing.assert_array_equal(coefficients, cached.__wrapped__(beta, degree))
 
 
 def test_wide_overlap_is_split_into_panels():

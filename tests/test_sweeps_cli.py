@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_setup
 from fockprobe import (
     amplitudes,
     c_closed,
+    c_quadrature,
     counter_rotating_mode_sum,
     fringe,
     mode_sum_offres,
@@ -23,6 +25,8 @@ from fockprobe import (
     run_sweep,
     survival_amplitude,
     validity,
+    x_closed,
+    x_quadrature,
 )
 from fockprobe.cli import _build_parser, main
 from fockprobe.config import MAX_SWEEP_ROWS, ConfigError
@@ -308,6 +312,7 @@ def test_cli_verify_fails_outside_perturbative_regime(tmp_path, capsys):
 @pytest.mark.parametrize("extra", [
     ["--tol=nan"], ["--tol=inf"], ["--tol=0"], ["--tol=-1"], ["--tol=1e-16"],
     ["--tol=1e-12", "--scan", "integ_tol"],  # third scan level is 1e-14
+    ["--tol=1e300"],  # passed after one Picard sweep per block
 ])
 def test_cli_verify_rejects_unusable_tolerance(tmp_path, capsys, extra):
     cfg = write_config(tmp_path, {
@@ -658,6 +663,20 @@ def test_cli_refuses_a_mode_beyond_exact_doubles(tmp_path, capsys, command, mode
     assert not out.exists()
 
 
+# Mode 5000's quadrature is refused for its size (exit 2); the modes are all
+# checked first, so the mode beyond 2**53 decides the exit code.
+@pytest.mark.parametrize("command", ["amplitudes", "kernels"])
+def test_cli_checks_every_mode_before_evaluating(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(CONFIGS / "desk-verification.cfg"),
+                 "--quadrature-check", "--mode", str(2**53 + 1), "--mode", "5000",
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: mode index")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # The desk point with lambda/Omega = 1e-3 scores 0.2 at field.photons = 2;
 # each command's largest photon number sets its estimator.
 DESK_MARGINAL = {"units.mode": "natural", "cavity.length": "1", "atom.speed": "1e-2",
@@ -724,6 +743,19 @@ def test_non_finite_quad_tol_is_a_configuration_error(tmp_path, capsys, command,
     assert err.startswith("configuration error:")
     assert "quad_tol" in err
     assert not out.exists()
+
+
+def test_cli_resolution_warns_when_it_reports_the_scan_cap(tmp_path, capsys):
+    out = tmp_path / "resolution.csv"
+    assert main(["resolution", "--config", str(CONFIGS / "optical-microcavity.cfg"),
+                 "--floor", "1e-300", "--output", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "floor 1e-300 rad: 10000000\n" in err
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["threshold_n"] == 10_000_000
+    [warning] = [w for w in manifest["warnings"] if "RESOLUTION_N_CAP" in w]
+    assert "threshold lies above the cap" in warning
+    assert warning in err
 
 
 @pytest.mark.parametrize("phis", [["--phi", "inf"], ["--phi", "nan"],
@@ -940,3 +972,46 @@ def test_compute_rows_gives_one_row_per_grid_point(mapping, key_columns):
     for row in failed:
         assert row[-1].startswith("error: ")
         assert all(math.isnan(cell) for cell in row[key_columns:-1])
+
+
+# The CLI evaluates the closed forms as one array per sign over the sorted
+# modes; every cell must be what the one-element functions return.
+CERTIFIED = {"amplitudes": (x_closed, x_quadrature), "kernels": (c_closed, c_quadrature)}
+
+
+@pytest.mark.parametrize("command", sorted(CERTIFIED))
+@pytest.mark.parametrize("sign", ["+", "-", "both"])
+@pytest.mark.parametrize("check", [[], ["--quadrature-check"]], ids=["closed", "quad"])
+def test_cli_array_path_is_the_scalar_path(tmp_path, rng, command, sign, check):
+    closed_of, quadrature_of = CERTIFIED[command]
+    signs = {"+": [+1], "-": [-1], "both": [+1, -1]}[sign]
+    for draw in range(6):
+        setup = random_setup(rng)
+        cfg = write_config(tmp_path, {
+            "units.mode": "natural", "cavity.length": repr(setup.cavity_length),
+            "atom.speed": repr(setup.atom_speed), "atom.gap": repr(setup.atom_gap),
+            "atom.coupling_ratio": "1e-4", "field.mode": "1", "field.photons": "0"})
+        assert parse_config(cfg).setup == setup
+        # unsorted, with a duplicate: the largest of four distinct modes leads
+        picks = [int(beta) for beta in rng.choice(np.arange(1, 9), size=4, replace=False)]
+        modes = [max(picks), *picks]
+        out = tmp_path / f"{command}-{draw}.csv"
+        argv = [command, "--config", str(cfg), "--sign", sign, *check,
+                "--output", str(out), "--quiet"]
+        for beta in modes:
+            argv += ["--mode", str(beta)]
+        expected = [(beta, s, closed_of(setup, beta, s),
+                     quadrature_of(setup, beta, s) if check else None)
+                    for beta in sorted(set(modes)) for s in signs]
+        assert main(argv) == 0
+        header, *rows = csv.reader(open(out))
+        assert len(rows) == len(expected)
+        for row, (beta, s, closed, quad) in zip(rows, expected):
+            assert row[:2] == [str(beta), f"{s:+d}"]
+            assert complex(float(row[2]), float(row[3])) == closed
+            if quad is None:
+                assert set(row[4:]) == {""}
+                continue
+            assert complex(float(row[4]), float(row[5])) == quad
+            if command == "amplitudes":
+                assert float(row[6]) == abs(closed - quad)
