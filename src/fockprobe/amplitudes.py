@@ -52,10 +52,15 @@ def _check_mode_sign(beta, sign):
         raise ParameterError(f"sign must be +1 or -1, got {sign!r}")
 
 
+# quad_tol lies below this: an estimate of a tenth of the value certifies no digit
+QUAD_TOL_CEILING = 0.1
+
+
 def _check_quad_tol(quad_tol):
     # written as "not (...)" so that NaN is rejected too
-    if not 0.0 < quad_tol < math.inf:
-        raise ParameterError(f"quad_tol must be finite and positive, got {quad_tol}")
+    if not 0.0 < quad_tol < QUAD_TOL_CEILING:
+        raise ParameterError(f"quad_tol must be positive and below {QUAD_TOL_CEILING:g}, "
+                             f"got {quad_tol}")
 
 
 def _transit_phases(setup: ProbeSetup, beta, sign):
@@ -132,28 +137,18 @@ def _chebyshev_coefficients(values):
     return coefs
 
 
-def _chebyshev_values(coefs, degree):
-    """Values of the Chebyshev series ``coefs`` at the ascending Lobatto nodes
-    of ``degree`` >= len(coefs) - 1."""
-    padded = np.zeros(degree + 1, dtype=coefs.dtype)
-    padded[:len(coefs)] = coefs
-    ends = padded[0] + padded[-1] * (-1.0) ** np.arange(degree + 1)
-    return ((_cosine_transform(padded) + ends) / 2.0)[::-1]
-
-
 # Interpolant degree past the envelope's phase (floor(b) for sin(b x),
-# floor(2 b) for the overlap K), the least |a| at which the by-parts series
-# may replace the Clenshaw-Curtis product rule, the Clenshaw-Curtis margin
-# past the product's degree, the rounding floor of either rule in units of
-# its rounding scale (the product rule was measured at up to 20 eps Sum |c_k|
-# against the by-parts series for N <= 2^15; QUADPACK's floor is 50 eps),
-# and the most samples one quadrature evaluates in one array.
+# floor(2 b) for the overlap K), the rounding floor of the moment rule in
+# units of eps Sum_k |c_k mu_k| (QUADPACK's floor is 50 eps), the rows of the
+# moments' boundary-value solve past the degree, fixed and in turning-point
+# widths |w|^(1/3) (see :func:`_chebyshev_moments`), and the most samples one
+# quadrature evaluates in one array.
 INTERPOLANT_MARGIN = 40
-BYPARTS_PHASE = 2000.0
-PRODUCT_MARGIN = 40
 ROUNDING = 50.0
+MOMENT_MARGIN = 40
+TURNING_WIDTHS = 12.0
 SAMPLE_CAP = 1 << 20
-_I_POWERS = (1.0, 1j, -1.0, -1j)
+_I_CYCLE = np.array((1.0, 1j, -1.0, -1j))
 
 
 def _check_samples(count):
@@ -164,87 +159,80 @@ def _check_samples(count):
         )
 
 
-def _amplification(degree, a):
-    """Bound on max_k 2^k T_n^(k)(1) / |a|^k over n <= degree: the most a
-    by-parts term weighs a coefficient, prod_j max(1, 2 D^2 / ((2j + 1) |a|)).
-    Stops once it reaches |a|, where the product rule rounds better."""
-    amplification, j = 1.0, 0
-    while amplification < abs(a):
-        factor = 2.0 * degree * degree / ((2 * j + 1) * abs(a))
-        if factor <= 1.0:
-            break
-        amplification *= factor
-        j += 1
-    return amplification
+def _chebyshev_moments(w, degree):
+    """mu_k = Integral_{-1}^{1} T_k(t) e^{iwt} dt for k = 0..degree.
+
+    With nu_k = mu_k / i^k, which is real, integrating T_k = T'_{k+1} / (2(k+1))
+    - T'_{k-1} / (2(k-1)) by parts gives the three-term rows
+
+        nu_1 - (w/4) nu_2 = sin(w) / 2,
+        nu_k - w/(2(k-1)) nu_{k-1} - w/(2(k+1)) nu_{k+1} = sigma_k / (k^2 - 1),
+
+    sigma_k = -2 cos w, -2 sin w, 2 cos w, 2 sin w for k = 0, 1, 2, 3 mod 4,
+    and nu_0 = 2 sin(w) / w (2 at w = 0).  k J_k(w) and k Y_k(w) solve the
+    homogeneous rows.  Both oscillate while k <= |w|, where the recurrence
+    runs forward; past |w| J decays and Y grows, so the rest is a
+    boundary-value problem (Olver, J. Res. NBS 71B, 111 (1967)): the rows up
+    to K with nu_{K+1} = 0, eliminated downward, every pivot at least 1/2.
+    The cut adds the Y solution scaled to cancel nu_{K+1} ~ 1/K^2, weighing
+    nu_k, k <= D, by Y_k / Y_{K+1}.  Through the turning point Y grows like
+    Airy's Bi(2^(1/3) tau), tau = (k - |w|) / |w|^(1/3): by
+    exp((2/3) (2^(1/3) 12)^(3/2)) > 1e17 over TURNING_WIDTHS = 12, and past
+    it by ~2k/|w| a row, over MOMENT_MARGIN rows that cover where the Airy
+    form is loose (small |w|, or D well past |w|).  So K = D +
+    MOMENT_MARGIN + ceil(TURNING_WIDTHS |w|^(1/3)), D the degree: at D = 2000
+    and |w| = 1990 it gives the moments of K = D + 8000 bit for bit, where
+    K = D + 40 errs by 3e-8.
+    """
+    w = float(w)
+    sin, cos = math.sin(w), math.cos(w)
+    sigma = (-2.0 * cos, -2.0 * sin, 2.0 * cos, 2.0 * sin)
+    nu = [2.0 if w == 0.0 else 2.0 * sin / w]
+    last = min(degree, math.floor(abs(w)))
+    if last >= 1:
+        nu.append((nu[0] - 2.0 * cos) / w)
+    if last >= 2:
+        nu.append(4.0 / w * (nu[1] - 0.5 * sin))
+    for k in range(2, last):
+        nu.append(2.0 * (k + 1) / w * (nu[k] - sigma[k & 3] / (k * k - 1))
+                  - (k + 1) / (k - 1) * nu[k - 1])
+    if last < degree:
+        h = 0.5 * w
+        top = degree + MOMENT_MARGIN + math.ceil(TURNING_WIDTHS * abs(w) ** (1.0 / 3.0))
+        # nu_k = a nu_{k-1} + b, row by row from nu_{top+1} = 0 down to row last + 1
+        a = b = 0.0
+        rows = []
+        for k in range(top, max(last, 1), -1):
+            pivot = 1.0 - h / (k + 1) * a
+            a, b = h / ((k - 1) * pivot), (sigma[k & 3] / (k * k - 1) + h / (k + 1) * b) / pivot
+            rows.append((a, b))
+        if last == 0:
+            # row 1 holds no nu_0
+            rows.append((0.0, (0.5 * sin + 0.5 * h * b) / (1.0 - 0.5 * h * a)))
+        for a, b in rows[::-1][:degree - last]:
+            nu.append(a * nu[-1] + b)
+    return np.array(nu) * _I_CYCLE[np.arange(degree + 1) & 3]
 
 
 def _fourier_chebyshev(coefs, a):
     """Integral_0^1 p(s) exp(i a s) ds for p(s) = Sum_k coefs[k] T_k(2 s - 1).
 
-    Returns (value, error_estimate).  The estimate has three parts: the
-    interpolant's last two coefficients (how far p may be from the function
-    it samples), the outer rule's truncation estimate and its rounding
-    floor.  With D = len(coefs) - 1 and c = Sum_k |coefs[k]| >= max |p|:
-
-    * Clenshaw-Curtis on the product.  With w = a/2 the integral is e^{iw}/2
-      times the integral of p(t) e^{iwt} over [-1, 1]; the product is
-      resampled by FFT on N + 1 Lobatto nodes, N >= D + 1.5|w| +
-      PRODUCT_MARGIN a power of two, and integrated term by term,
-      2 c_k / (1 - k^2) over even k.  Truncation: the product's last two
-      coefficients.  Rounding: ROUNDING eps c, since a sum over oscillating
-      samples rounds relative to max |p|, not to the (small) integral.
-      Raises :class:`ConvergenceError` past SAMPLE_CAP nodes.
-    * Integration by parts, Sum_k (-1)^k [p^(k) e^{ias}]_0^1 / (ia)^(k+1),
-      finite for a polynomial, where |a| > BYPARTS_PHASE and its rounding
-      floor ROUNDING A eps c / |a| is the lower one, A being the most a
-      term weighs a coefficient (:func:`_amplification`; A <= 2 once
-      |a| >= D^2).  Summing stops once two consecutive terms fall below that
-      floor, and their sum is the truncation estimate: one small term is not
-      enough, since a term can vanish on its own (for integer beta,
-      K'(0) = K'(1) = 0).
+    With t = 2 s - 1 and w = a/2 the integral is e^{iw}/2 Sum_k coefs[k]
+    mu_k(w), exact for the polynomial, with the Chebyshev moments mu_k of
+    :func:`_chebyshev_moments` (the Filon-Clenshaw-Curtis rule).  Returns
+    (value, error_estimate).  The estimate is the interpolant's last two
+    coefficients (how far p may be from the function it samples) plus the
+    rounding floor ROUNDING eps Sum_k |coefs[k] mu_k|; the moments are exact,
+    so the rule adds no truncation term.  Raises :class:`ConvergenceError`
+    when a is not finite.
     """
-    degree = len(coefs) - 1
-    scale = np.finfo(float).eps * np.sum(np.abs(coefs))
-    interpolant = abs(coefs[-2]) + abs(coefs[-1])
-    amplification = _amplification(degree, a)
-    if abs(a) > BYPARTS_PHASE and amplification < abs(a):
-        rounding = ROUNDING * amplification * scale / abs(a)
-        value, truncation = _by_parts(coefs, a, rounding)
-    else:
-        w = 0.5 * a
-        size = 1 << math.ceil(math.log2(degree + 1.5 * abs(w) + PRODUCT_MARGIN))
-        _check_samples(size + 1)
-        nodes = _lobatto_nodes(size)
-        product = _chebyshev_coefficients(_chebyshev_values(coefs, size) * np.exp(1j * w * nodes))
-        even = np.arange(0, size + 1, 2)
-        value = cmath.exp(1j * w) * (product[::2] @ (1.0 / (1.0 - even * even)))
-        truncation = abs(product[-2]) + abs(product[-1])
-        rounding = ROUNDING * scale
-    return complex(value), float(interpolant + truncation + rounding)
-
-
-def _by_parts(coefs, a, floor):
-    """Integration-by-parts series of :func:`_fourier_chebyshev`, summed until
-    two consecutive terms add up to at most ``floor``; returns (value, their sum).
-
-    Term k is -i^(k+1) [e^{ia} p^(k)(1) - p^(k)(0)] / a^(k+1), and the
-    scaled derivatives come from T_n^(k)(1) = prod_{j<k} (n^2 - j^2) /
-    (2j + 1), T_n^(k)(-1) = (-1)^(n+k) T_n^(k)(1), and d/ds = 2 d/dt.
-    """
-    n = np.arange(len(coefs))
-    alternating = coefs * (-1.0) ** n
-    weights = np.ones(len(coefs))  # 2^k T_n^(k)(1) / a^k
-    end = cmath.exp(1j * a)
-    total, last, previous = 0j, math.inf, math.inf
-    for k in range(len(coefs)):
-        right, left = coefs @ weights, alternating @ weights
-        term = -1j * _I_POWERS[k % 4] / a * (end * right - (-1.0) ** k * left)
-        total += term
-        previous, last = last, abs(term)
-        if previous + last <= floor:
-            break
-        weights *= 2.0 * (n * n - k * k) / ((2 * k + 1) * a)
-    return total, previous + last
+    if not math.isfinite(a):
+        raise ConvergenceError(f"transit phase {a} is not finite")
+    w = 0.5 * a
+    moments = _chebyshev_moments(w, len(coefs) - 1)
+    value = 0.5 * cmath.exp(1j * w) * (coefs @ moments)
+    rounding = ROUNDING * np.finfo(float).eps * (np.abs(coefs) @ np.abs(moments))
+    return complex(value), float(abs(coefs[-2]) + abs(coefs[-1]) + rounding)
 
 
 @cache

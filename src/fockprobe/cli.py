@@ -38,7 +38,7 @@ from .observables import (
     resolution_threshold,
     transition_probability,
 )
-from .oracle import convergence_scan, default_truncation, evolve
+from .oracle import _check_scan_tolerances, convergence_scan, default_truncation, evolve
 from .sweeps import PRESETS, compute_rows, largest_validity, run_sweep, write_outputs
 
 EXIT_OK = 0
@@ -396,6 +396,11 @@ def main(argv=None) -> int:
                                   "or run sweep")
             if args.command == "resolution":
                 resolved = replace(resolved, sweep=_resolution_request(args))
+            if args.command == "verify":  # a flag, checked before anything evolves
+                try:
+                    _check_scan_tolerances(args.tol, args.scan)
+                except ConvergenceError as exc:
+                    raise ConfigError(str(exc)) from None
             code = _guard_validity(args, resolved)
             if code == EXIT_OK:
                 code = _HANDLERS[args.command](args, resolved, caught)

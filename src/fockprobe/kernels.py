@@ -19,8 +19,8 @@ stable through the removable singularities a -> +/- b; C(-a) = conj(C(a)).
 The oracle :func:`c_quadrature` shares nothing with the closed form: it
 evaluates the overlap K(s) of the two envelopes by Gauss-Legendre at the
 Chebyshev-Lobatto nodes of s and integrates the interpolant against
-exp(i a s) with the Fourier-Chebyshev rule of :mod:`.amplitudes`
-(Clenshaw-Curtis on the product, or the by-parts series at large |a|).
+exp(i a s) with the Fourier-Chebyshev rule of :mod:`.amplitudes`, which
+sums its Chebyshev coefficients against exact moments of exp(i a s).
 """
 
 from __future__ import annotations

@@ -442,14 +442,23 @@ def evolve(
 
 
 SCAN_AXES = ("modes", "headroom", "integ_tol")
+SCAN_LEVELS = 3
 SCAN_RELATIVE_TOL = 1e-3
+
+
+def _check_scan_tolerances(integ_tol: float, axis: str | None, levels: int = SCAN_LEVELS) -> None:
+    """:func:`_check_integ_tol` on integ_tol and on a scan's tightest level."""
+    _check_integ_tol(integ_tol)
+    if axis == "integ_tol":
+        last = max(levels - 1, 0)
+        _check_integ_tol(integ_tol * 10.0 ** (-last), f"scan tolerance integ_tol * 1e-{last} =")
 
 
 def convergence_scan(
     setup: ProbeSetup,
     prep: FieldPreparation,
     axis: str,
-    levels: int = 3,
+    levels: int = SCAN_LEVELS,
     headroom: int = 4,
     others_max: int = 2,
     integ_tol: float = 1e-10,
@@ -466,11 +475,7 @@ def convergence_scan(
     """
     if axis not in SCAN_AXES:
         raise ParameterError(f"axis must be one of {SCAN_AXES}, got {axis!r}")
-    _check_integ_tol(integ_tol)
-    if axis == "integ_tol":
-        last = max(levels - 1, 0)
-        _check_integ_tol(integ_tol * 10.0 ** (-last),
-                         f"scan tolerance integ_tol * 1e-{last} =")
+    _check_scan_tolerances(integ_tol, axis, levels)
     rows = []
     for level in range(levels):
         if axis == "modes":

@@ -1,10 +1,13 @@
 """The Fourier-Chebyshev quadrature oracle against QUADPACK, and its error estimate.
 
 ``x_quadrature`` and ``c_quadrature`` integrate a Chebyshev interpolant of
-the envelope against exp(i a s) (``amplitudes._fourier_chebyshev``).  The
-QUADPACK path they replaced lives on here as an independent reference:
-weighted QAWO rules for the outer oscillation and, for the kernel, a nested
-adaptive quadrature of the overlap K(s).
+the envelope against exp(i a s) (``amplitudes._fourier_chebyshev``) as a sum
+of its coefficients against exact Chebyshev moments of exp(i a s)
+(``amplitudes._chebyshev_moments``).  Three references check it: the
+QUADPACK path it replaced (weighted QAWO rules for the outer oscillation
+and, for the kernel, a nested adaptive quadrature of the overlap K(s));
+composite Gauss-Legendre for the moments; and, for the rule on a given
+polynomial, its integration-by-parts sum in extended precision (mpmath).
 """
 
 import math
@@ -20,6 +23,7 @@ from scipy.integrate import quad
 import fockprobe
 from fockprobe import (
     ConvergenceError,
+    ParameterError,
     build_setup,
     c_closed,
     c_quadrature,
@@ -29,7 +33,10 @@ from fockprobe import (
 from fockprobe import amplitudes, kernels
 from fockprobe.amplitudes import (
     INTERPOLANT_MARGIN,
+    MOMENT_MARGIN,
+    TURNING_WIDTHS,
     _chebyshev_coefficients,
+    _chebyshev_moments,
     _fourier_chebyshev,
     _lobatto_nodes,
     _transit_phases,
@@ -97,14 +104,25 @@ def resonant(alpha):
 
 MICROCAVITY = build_setup(1e-6, 1000.0, resonant_with_mode=2, coupling_ratio=1e-4)
 
+
+def degrees(beta):
+    """Interpolant degrees D of X (sin(b x)) and of C (the overlap K) for mode beta."""
+    return int(beta * math.pi) + INTERPOLANT_MARGIN, int(2 * beta * math.pi) + INTERPOLANT_MARGIN
+
+
 # (setup, beta, sign): the small-|a| points, criterion 3's exact zeros, the SI
-# microcavity where |a| ~ 1e6, and |a| on both sides of the switch at 2000
-# between the Clenshaw-Curtis rule and the by-parts series
+# microcavity where |a| ~ 1e6 and every moment comes from the forward
+# recurrence, |a| up to 2500, and |a| = 2D -/+ 3 for either interpolant's
+# degree D, where the moment w = a/2 crosses the degree and the forward
+# recurrence hands the moments above |w| to the boundary-value solve
 GRID = [
     *[(summed_check_point(beta, a), beta, -1) for beta, a in [(4, 9.21), (2, 4.42), (3, 0.81)]],
     *[(resonant(alpha), alpha, -1) for alpha in (2, 4, 6)],
     *[(MICROCAVITY, beta, sign) for beta in (2, 3) for sign in (+1, -1)],
     *[(natural_at(1, a), 1, -1) for a in (1900.0, -1990.0, 2100.0, 2200.0, -2500.0)],
+    *[(natural_at(beta, sign * (2 * degree + offset)), beta, -1)
+      for beta in (1, 4) for degree in sorted(set(degrees(beta)))
+      for sign, offset in ((+1, -3), (-1, +3))],
 ]
 
 
@@ -116,24 +134,104 @@ def test_fourier_chebyshev_matches_quadpack(setup, beta, sign):
     assert abs(c_quadrature(setup, beta, sign) - c_ref) <= 1e-9 * max(abs(c_ref), 1e-3 * T * T)
 
 
+def leggauss_moments(w, degree, nodes=48):
+    """Integral_{-1}^{1} T_k(t) e^{iwt} dt, k <= degree, by composite Gauss-Legendre.
+
+    2^m equal panels, each spanning at most 8 radians of w t; the panel
+    centres are dyadic, so w times a centre is exact and the phase of every
+    node rounds only in its offset from the centre."""
+    panels = 1 << math.ceil(math.log2(1.0 + abs(w) / 8.0 + degree / 8.0))
+    t, weights = np.polynomial.legendre.leggauss(nodes)
+    half = 1.0 / panels
+    local = np.exp(1j * w * half * t) * weights * half
+    moments = np.zeros(degree + 1, dtype=complex)
+    for first in range(0, panels, 256):
+        centres = -1.0 + (2.0 * np.arange(first, min(first + 256, panels)) + 1.0) * half
+        x = (centres[:, None] + half * t).ravel()
+        phases = (np.exp(1j * w * centres)[:, None] * local).ravel()
+        values = np.polynomial.chebyshev.chebvander(x, degree)
+        moments += phases.real @ values + 1j * (phases.imag @ values)
+    return moments
+
+
+@pytest.mark.parametrize("degree, w", [
+    (degree, w) for degree in (41, 65, 291)
+    for w in (0.0, 1e-12, -1e-12, 0.5, -0.5, degree - 0.5, degree + 0.5, 300.0, -2500.0, 3.0e4)
+])
+def test_moments_match_gauss_legendre(degree, w):
+    moments = _chebyshev_moments(w, degree)
+    assert moments.shape == (degree + 1,)
+    # the reference rounds at ~eps of the integrand's scale, 2
+    np.testing.assert_allclose(moments, leggauss_moments(w, degree), rtol=0, atol=1e-14)
+
+
+def test_moments_are_exact_at_zero_phase():
+    # mu_k(0) = 2 / (1 - k^2) for even k and 0 for odd k: Clenshaw-Curtis
+    even = np.arange(0, 66, 2)
+    exact = np.zeros(66)
+    exact[even] = 2.0 / (1.0 - even * even)
+    np.testing.assert_allclose(_chebyshev_moments(0.0, 65), exact, rtol=4e-16, atol=0)
+
+
+@pytest.mark.parametrize("w", [1990.0, 1999.5, -1990.0])
+def test_terminal_margin_is_converged(monkeypatch, w):
+    # the boundary-value solve cut at K = D + MOMENT_MARGIN + ceil(TURNING_WIDTHS
+    # |w|^(1/3)): doubling K leaves every moment bit for bit, while the fixed
+    # margin alone, K = D + 40, is visibly short at the turning point
+    degree = 2000
+    top = degree + MOMENT_MARGIN + math.ceil(TURNING_WIDTHS * abs(w) ** (1.0 / 3.0))
+    moments = _chebyshev_moments(w, degree)
+    monkeypatch.setattr(amplitudes, "MOMENT_MARGIN", MOMENT_MARGIN + top)
+    np.testing.assert_array_equal(_chebyshev_moments(w, degree), moments)
+    monkeypatch.setattr(amplitudes, "MOMENT_MARGIN", MOMENT_MARGIN)
+    monkeypatch.setattr(amplitudes, "TURNING_WIDTHS", 0.0)
+    assert np.max(np.abs(_chebyshev_moments(w, degree) - moments)) > 1e-9
+
+
+def extended_fourier(coefs, a):
+    """Integral_0^1 p(s) e^{ias} ds of p = Sum_n coefs[n] T_n(2s - 1), in mpmath.
+
+    The integration-by-parts sum Sum_j (-1)^j [p^(j)(t) e^{iwt}]_{-1}^{1} /
+    (iw)^(j+1), w = a/2, finite for a polynomial and summed to the end, with
+    T_n^(j)(1) = prod_{i<j} (n^2 - i^2) / (2i + 1) and T_n^(j)(-1) =
+    (-1)^(n+j) T_n^(j)(1); 30 digits beyond its largest term.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    w = 0.5 * a
+    degree = len(coefs) - 1
+    growth, largest = 0.0, 0.0
+    for j in range(degree):
+        growth += math.log10((degree * degree - j * j) / ((2 * j + 1) * abs(w)))
+        largest = max(largest, growth)
+    with mpmath.workdps(30 + math.ceil(largest)):
+        c = [mpmath.mpf(float(x)) for x in coefs]
+        derivative = [mpmath.mpf(1)] * len(c)  # T_n^(j)(1)
+        iw = mpmath.mpc(0, w)
+        ends = (mpmath.expj(w), mpmath.expj(-w))
+        total = mpmath.mpc(0)
+        for j in range(len(c)):
+            right = mpmath.fsum(x * d for x, d in zip(c, derivative))
+            left = mpmath.fsum((-1) ** (n + j) * x * d
+                               for n, (x, d) in enumerate(zip(c, derivative)))
+            total += (-1) ** j * (right * ends[0] - left * ends[1]) / iw ** (j + 1)
+            derivative = [d * (n * n - j * j) / (2 * j + 1) for n, d in enumerate(derivative)]
+        return complex(total * ends[0] / 2)
+
+
 @pytest.mark.parametrize("a", [2500.0, -3000.0, 6000.0, 2.0e4])
-def test_both_outer_rules_agree_where_either_applies(monkeypatch, a):
-    # a degree-52 interpolant, as for the overlap of mode 2: the by-parts
-    # series against the Clenshaw-Curtis rule on the same p
+def test_moment_rule_matches_an_extended_precision_integral(a):
+    # a degree-52 interpolant, as for the overlap of mode 2; the estimate is
+    # mostly the rounding floor, since this p's last coefficients are tiny
     nodes = _lobatto_nodes(52)
     coefs = _chebyshev_coefficients(np.sin(math.pi * (1.0 + nodes)) * (1.0 - nodes))
-    series, series_err = _fourier_chebyshev(coefs, a)
-    monkeypatch.setattr(amplitudes, "BYPARTS_PHASE", math.inf)
-    product, product_err = _fourier_chebyshev(coefs, a)
-    # the product rule rounds at ~eps of max |p| ~ 1, not of the small
-    # integral, and its estimate says so; the series rounds relative to p / |a|
-    assert abs(series - product) <= product_err <= 1e-13
-    assert series_err < 1e-2 * product_err
+    value, err = _fourier_chebyshev(coefs, a)
+    assert abs(value - extended_fourier(coefs, a)) <= err <= 1e-15
 
 
-# Integer beta: sin(b s) vanishes at both ends, so every even by-parts term of
-# X is zero, and K'(0) = K'(1) = 0, so the k = 1 term of C is.  A series that
-# stopped on one small term would drop the next one, (b/a)^2 of the value.
+# Integer beta: sin(b s) vanishes at both ends, so every even term of X's
+# expansion in 1/a is zero, and K'(0) = K'(1) = 0, so the second term of C's
+# is.  A large-|a| rule that stopped on one small term would drop the next
+# one, (b/a)^2 of the value.
 @pytest.mark.parametrize("beta, a", [(2, 5000.0), (3, -8000.0), (1, 2.5e4), (4, 1.0e5)])
 def test_by_parts_series_does_not_stop_on_a_vanishing_term(beta, a):
     setup = natural_at(beta, a)
@@ -147,8 +245,8 @@ def test_by_parts_series_does_not_stop_on_a_vanishing_term(beta, a):
 
 @pytest.mark.parametrize("a", [0.0, 300.0, 4000.0, -1.0e6])
 def test_estimate_carries_the_interpolant_tail(a):
-    # an interpolant that does not resolve its envelope: the outer rules
-    # integrate the polynomial itself accurately, only its last
+    # an interpolant that does not resolve its envelope: the moment rule
+    # integrates the polynomial itself accurately, only its last
     # coefficients reveal the gap
     b = 9 * math.pi
     nodes = _lobatto_nodes(18)
@@ -191,6 +289,25 @@ def test_interpolant_is_built_once_per_mode(quadrature, cached, phase_multiple):
     np.testing.assert_array_equal(coefficients, cached.__wrapped__(beta, degree))
 
 
+@pytest.mark.parametrize("quadrature", [x_quadrature, c_quadrature])
+@pytest.mark.parametrize("quad_tol", [0.1, 1.0, 1e300, math.inf, math.nan, 0.0, -1e-10])
+def test_unusable_quad_tol_is_refused(quadrature, quad_tol):
+    # at 0.1 and above an estimate of a tenth of the value would certify it
+    with pytest.raises(ParameterError, match="quad_tol must be positive and below 0.1"):
+        quadrature(MICROCAVITY, 2, +1, quad_tol=quad_tol)
+
+
+@pytest.mark.parametrize("quadrature", [x_quadrature, c_quadrature])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_non_finite_phase_is_a_convergence_error(quadrature, sign):
+    # omega T overflows: a = +/-inf, where no moment exists
+    setup = build_setup(1.0, 1e-3, light_speed=1.0, atom_gap=1e308,
+                        coupling_ratio=0.0, unit_mode="natural")
+    assert math.isinf(_transit_phases(setup, 1, sign)[0])
+    with pytest.raises(ConvergenceError, match="transit phase -?inf is not finite"):
+        quadrature(setup, 1, sign)
+
+
 def test_wide_overlap_is_split_into_panels():
     # b = 60 pi spans three inner panels of INNER_PHASE = 64
     setup = natural_at(60, 150.0)
@@ -223,9 +340,20 @@ def test_package_import_leaves_scipy_out():
 
 
 @pytest.mark.parametrize("quadrature, beta, a", [
-    (c_quadrature, 5000, 100.0),   # 31457 overlap nodes x 96 inner nodes
-    (x_quadrature, 6300, 1.0e6),   # by parts would round badly; 2^20 + 1 product nodes
+    (c_quadrature, 5000, 100.0),       # 31457 overlap nodes x 96 inner nodes
+    (x_quadrature, 340_000, 1.0e6),    # 1068182 envelope nodes
 ])
 def test_oversized_quadrature_is_refused_before_allocating(quadrature, beta, a):
     with pytest.raises(ConvergenceError, match="samples in one array"):
         quadrature(natural_at(beta, a), beta, -1)
+
+
+def test_high_mode_at_large_phase_matches_closed_form():
+    # a degree-19832 envelope at |w| = 5e5, every moment from the forward
+    # recurrence.  |X| ~ 5e-11 T: the integrand's scale is T, and the closed
+    # form's own rounding in the phase a ~ 1e6 is ~1e-10 of |X|, so the two
+    # agree on the scale of x_quadrature's tolerance, max(|X|, T) = T
+    setup = natural_at(6300, 1.0e6)
+    T = setup.crossing_time
+    x = x_closed(setup, 6300, -1)
+    assert abs(x_quadrature(setup, 6300, -1) - x) <= 1e-17 * T

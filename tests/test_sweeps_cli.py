@@ -28,6 +28,7 @@ from fockprobe import (
     x_closed,
     x_quadrature,
 )
+from fockprobe import cli
 from fockprobe.cli import _build_parser, main
 from fockprobe.config import MAX_SWEEP_ROWS, ConfigError
 from fockprobe.sweeps import PRESETS, compute_rows, write_outputs
@@ -313,8 +314,15 @@ def test_cli_verify_fails_outside_perturbative_regime(tmp_path, capsys):
     ["--tol=nan"], ["--tol=inf"], ["--tol=0"], ["--tol=-1"], ["--tol=1e-16"],
     ["--tol=1e-12", "--scan", "integ_tol"],  # third scan level is 1e-14
     ["--tol=1e300"],  # passed after one Picard sweep per block
+    ["--tol=0.1", "--scan", "modes"],
 ])
-def test_cli_verify_rejects_unusable_tolerance(tmp_path, capsys, extra):
+def test_cli_verify_rejects_unusable_tolerance(tmp_path, capsys, monkeypatch, extra):
+    # a flag the oracle cannot honour is a configuration error, found before
+    # anything evolves
+    def evolved(*args, **kwargs):
+        raise AssertionError("evolved with an unusable tolerance")
+    monkeypatch.setattr(cli, "evolve", evolved)
+    monkeypatch.setattr(cli, "convergence_scan", evolved)
     cfg = write_config(tmp_path, {
         "units.mode": "natural",
         "cavity.length": "1.0",
@@ -324,9 +332,9 @@ def test_cli_verify_rejects_unusable_tolerance(tmp_path, capsys, extra):
         "field.photons": "2",
     })
     code = main(["verify", "--config", str(cfg), "--quiet", *extra])
-    assert code == 2
+    assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure:")
+    assert err.startswith("configuration error:")
     assert "tightest rtol" in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
@@ -742,6 +750,20 @@ def test_non_finite_quad_tol_is_a_configuration_error(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "quad_tol" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["amplitudes", "kernels"])
+@pytest.mark.parametrize("quad_tol", ["0.1", "1e300"])
+def test_quad_tol_at_the_ceiling_is_a_configuration_error(tmp_path, capsys, command, quad_tol):
+    # an error estimate of a tenth of the value certifies nothing
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(CONFIGS / "desk-verification.cfg"), "--mode", "1",
+                 "--quadrature-check", "--quad-tol", quad_tol, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "quad_tol must be positive and below 0.1" in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
