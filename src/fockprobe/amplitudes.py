@@ -67,11 +67,16 @@ def _transit_phases(setup: ProbeSetup, beta, sign):
     """Dimensionless phases accumulated over one transit.
 
     Returns (a, b): a = (omega_beta + sign*Omega) * T for the driving
-    exponential, b = beta*pi for the mode envelope.
+    exponential, b = beta*pi for the mode envelope.  Raises
+    :class:`ConvergenceError` naming the first entry of a that is not finite.
     """
     T = setup.crossing_time
     omega = setup.mode_frequency(beta)
-    return (omega + sign * setup.atom_gap) * T, beta * np.pi
+    a = (omega + sign * setup.atom_gap) * T
+    bad = np.asarray(a)[~np.isfinite(a)]
+    if bad.size:
+        raise ConvergenceError(f"transit phase {bad[0]} is not finite")
+    return a, beta * np.pi
 
 
 def _sinc(x):
@@ -223,11 +228,8 @@ def _fourier_chebyshev(coefs, a):
     (value, error_estimate).  The estimate is the interpolant's last two
     coefficients (how far p may be from the function it samples) plus the
     rounding floor ROUNDING eps Sum_k |coefs[k] mu_k|; the moments are exact,
-    so the rule adds no truncation term.  Raises :class:`ConvergenceError`
-    when a is not finite.
+    so the rule adds no truncation term.
     """
-    if not math.isfinite(a):
-        raise ConvergenceError(f"transit phase {a} is not finite")
     w = 0.5 * a
     moments = _chebyshev_moments(w, len(coefs) - 1)
     value = 0.5 * cmath.exp(1j * w) * (coefs @ moments)

@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="closed forms against the exactly evolved truncated system")
     p.add_argument("--modes", type=int, default=None,
-                   help="highest retained mode (default: probed + 1)")
+                   help="highest retained mode (default: probed + 1; not with --scan)")
     p.add_argument("--headroom", type=int, default=4)
     p.add_argument("--others-max", type=int, default=2)
     p.add_argument("--tol", type=float, default=1e-10, help="integrator tolerance")
@@ -396,7 +396,9 @@ def main(argv=None) -> int:
                                   "or run sweep")
             if args.command == "resolution":
                 resolved = replace(resolved, sweep=_resolution_request(args))
-            if args.command == "verify":  # a flag, checked before anything evolves
+            if args.command == "verify":  # flags, checked before anything evolves
+                if args.scan and args.modes is not None:
+                    raise ConfigError("verify --scan reads no --modes; remove one of them")
                 try:
                     _check_scan_tolerances(args.tol, args.scan)
                 except ConvergenceError as exc:

@@ -11,6 +11,8 @@ phase is gamma = Re(eta) = arg A(n); the fringe visibility factor is
 exp(-|Im eta|).  Phase differences between photon numbers are evaluated from
 the single Ln of the amplitude ratio, never by subtracting two rounded phases.
 Tables of them over (n, m) grids are resolution sweeps (``sweeps.compute_rows``).
+A(n) is affine in n, so the largest n at which one photon still turns the
+phase by a given floor has a closed form (:func:`resolution_threshold`).
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ BRANCH_WARN = math.pi / 2
 
 VALIDITY_OK = 0.1
 VALIDITY_MARGINAL = 1.0
-
-# Largest photon number resolution_threshold scans.
-RESOLUTION_N_CAP = 10**7
-
 
 class BranchError(RuntimeError):
     """Survival amplitude left the principal-branch safe half-plane."""
@@ -304,49 +302,44 @@ def delta_gamma_linear(setup: ProbeSetup, alpha: int, m: int) -> float:
 
 
 def resolution_threshold(setup: ProbeSetup, alpha: int, resolution_floor: float = 1e-4):
-    """Largest n with delta_1 gamma(n) >= resolution_floor, or None if already below at n=0.
+    """Largest n >= 0 with delta_gamma_rows(n, 1) >= resolution_floor, or None.
 
-    Assumes that the single-photon phase difference decreases monotonically
-    in n, which it need not do: the points A(n) lie on a line, and the angle
-    one step subtends at the origin peaks where that line passes closest to
-    it.  Doubles n from 1, then bisects the last step; a row past the
-    branch-guard boundary counts as below the floor.  When the doubling
-    reaches RESOLUTION_N_CAP still above the floor, returns the cap and warns
-    that the threshold lies above it.  Raises :class:`ParameterError` unless
-    resolution_floor is finite and positive.
+    A(n) is affine in n, so A(n) = d (w + n) with d = A(1) - A(0) and
+    w = A(0) / d, and one photon turns the phase by arg(1 + 1/(w + n)).  For
+    0 < f < pi that is >= f exactly when y = Im w < 0 and
+    (Re w + n + 1/2)^2 <= 1/4 - y (y + cot f): the resolving n form one
+    interval.  Its top end, capped by the branch guard Re A(n + 1) > 0 when
+    Re d < 0, is floored and confirmed by one delta_gamma_rows call on
+    top - 2 ... top + 2, clipped at 0; the last n that passes is returned, a
+    branch-failed (NaN) row counting as below the floor.  None when d = 0 (no
+    coupling), y >= 0, resolution_floor >= pi or no n passes.  Raises
+    :class:`ParameterError` unless resolution_floor is finite and positive,
+    and when the top end is not finite or not below 2**53, where n and n + 1
+    round to the same double.
     """
     # written as "not (...)" so that NaN is rejected too
     if not 0.0 < resolution_floor < math.inf:
         raise ParameterError(f"resolution_floor must be finite and positive, got {resolution_floor}")
     comps = phase_components(setup, alpha)
-
-    def above(n):
-        # a row past the branch guard is NaN, which counts as below the floor
-        delta_gamma, _ = delta_gamma_rows(comps, setup, [n], [1])
-        return delta_gamma[0] >= resolution_floor
-
-    if delta_gamma_exact(setup, alpha, 0, 1, components=comps) < resolution_floor:
+    z0, z1 = survival_amplitude(comps, setup, np.array([0.0, 1.0])).tolist()
+    d = z1 - z0
+    if d == 0 or resolution_floor >= math.pi:
         return None
-    lo, hi = 0, 1
-    while above(hi):
-        lo = hi
-        if hi == RESOLUTION_N_CAP:
-            warnings.warn(
-                f"single-photon resolution at floor {resolution_floor:g} rad holds up to "
-                f"RESOLUTION_N_CAP = {RESOLUTION_N_CAP}, where the scan stops: the "
-                "threshold lies above the cap reported in its place",
-                ProbeWarning,
-                stacklevel=2,
-            )
-            return RESOLUTION_N_CAP
-        hi = min(2 * hi, RESOLUTION_N_CAP)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if above(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    w = z0 / d
+    y = w.imag
+    bound = 0.25 - y * (y + 1.0 / math.tan(resolution_floor))
+    if y >= 0 or bound < 0:
+        return None
+    top = -w.real - 0.5 + math.sqrt(bound)
+    if d.real < 0:
+        top = min(top, -z0.real / d.real - 1.0)
+    if not -math.inf < top < 2.0**53:
+        raise ParameterError(f"resolution floor {resolution_floor:g} rad puts the threshold "
+                             "beyond 2**53, where n and n + 1 round to the same double")
+    ns = np.arange(max(math.floor(top) - 2, 0), math.floor(top) + 3)
+    delta_gamma, _ = delta_gamma_rows(comps, setup, ns, 1)
+    passing = np.flatnonzero(delta_gamma >= resolution_floor)
+    return int(ns[passing[-1]]) if passing.size else None
 
 
 def fringe(

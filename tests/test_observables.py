@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_setup
 from fockprobe import (
     BranchError,
     ParameterError,
@@ -26,7 +27,7 @@ from fockprobe import (
     transition_probability,
     validity,
 )
-from fockprobe.observables import RESOLUTION_N_CAP, delta_gamma_rows, eta_rows
+from fockprobe.observables import delta_gamma_rows, eta_rows
 from fockprobe.sweeps import compute_rows
 
 
@@ -235,17 +236,69 @@ def test_resolution_rows_and_threshold():
     assert delta_gamma_exact(setup, 2, threshold + 1, 1) < 1e-4
 
 
-def test_resolution_threshold_between_the_last_doubling_and_the_cap():
-    # the doubling passes 2**23 and stops at the cap; a threshold between
-    # the two used to be reported as the cap
+def test_resolution_threshold_at_nine_million():
+    # the floor at n = 9e6 puts the threshold in the millions
     setup = optical()
     floor = delta_gamma_exact(setup, 2, 9_000_000, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ProbeWarning)
         threshold = resolution_threshold(setup, 2, resolution_floor=floor)
-    assert 2**23 < threshold < RESOLUTION_N_CAP
+    assert 2**23 < threshold < 10**7
     assert delta_gamma_exact(setup, 2, threshold, 1) >= floor
     assert delta_gamma_exact(setup, 2, threshold + 1, 1) < floor
+
+
+SCAN_ROWS = 4000
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([2, 4]),
+       k=st.integers(1, SCAN_ROWS // 4), t=st.floats(0.0, 1.0))
+def test_resolution_threshold_matches_a_brute_force_scan(seed, alpha, k, t):
+    # floors between |delta_1 gamma(0)| and |delta_1 gamma(k)|; a negative
+    # step never resolves, whatever n
+    setup = random_setup(np.random.default_rng(seed))
+    comps = phase_components(setup, alpha)
+    delta_gamma, _ = delta_gamma_rows(comps, setup, np.arange(SCAN_ROWS + 1.0), 1)
+    floor = abs(delta_gamma[0] + t * (delta_gamma[k] - delta_gamma[0]))
+    assume(floor > 0.0)
+    passing = np.flatnonzero(delta_gamma >= floor)
+    threshold = resolution_threshold(setup, alpha, resolution_floor=floor)
+    if passing.size == 0:
+        assert threshold is None
+    elif passing[-1] < SCAN_ROWS:
+        assert threshold == passing[-1]
+    else:
+        # the step peaks beyond k, so the resolving n run past the scan
+        assert threshold >= SCAN_ROWS
+        edge, _ = delta_gamma_rows(comps, setup, [threshold, threshold + 1], 1)
+        assert edge[0] >= floor and not edge[1] >= floor  # NaN: past the branch guard
+
+
+def test_resolution_threshold_past_a_hump():
+    # delta_1 gamma(0) = 1.12e-8 is below the floor, but the line A(n) passes
+    # closest to the origin near n = 4.6e6, where one step turns the phase by
+    # 4.19e-6.  A vector scan of delta_gamma_rows over 0..5e6 finds 438,474
+    # resolving n; the largest, 4,609,800, is the last before Re A(n + 1) <= 0
+    setup = build_setup(1.66488, 0.0527073, light_speed=1.0, atom_gap=7.17708,
+                        coupling_ratio=2.05162e-5, unit_mode="natural")
+    threshold = resolution_threshold(setup, 4, resolution_floor=1e-6)
+    assert threshold == 4_609_800
+    comps = phase_components(setup, 4)
+    edge, _ = delta_gamma_rows(comps, setup, [0, threshold, threshold + 1], 1)
+    assert edge[0] < 1e-6 <= edge[1]
+    assert math.isnan(edge[2])  # past the branch guard
+
+
+def test_resolution_threshold_without_coupling_is_none():
+    setup = natural(ratio=0.0)
+    assert resolution_threshold(setup, 2, resolution_floor=1e-300) is None
+
+
+def test_resolution_threshold_beyond_2_pow_53_is_refused():
+    # n and n + 1 round to the same double there, so no row confirms a root
+    with pytest.raises(ParameterError, match=r"beyond 2\*\*53"):
+        resolution_threshold(optical(), 2, resolution_floor=1e-300)
 
 
 @pytest.mark.parametrize("floor", [math.nan, -1.0, 0.0, math.inf])

@@ -340,6 +340,21 @@ def test_cli_verify_rejects_unusable_tolerance(tmp_path, capsys, monkeypatch, ex
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("axis", ["modes", "headroom", "integ_tol"])
+def test_cli_verify_scan_refuses_modes(tmp_path, capsys, monkeypatch, axis):
+    # no scan reads --modes: the modes scan sets its own, the others keep the default
+    def evolved(*args, **kwargs):
+        raise AssertionError("evolved with an unread --modes")
+    monkeypatch.setattr(cli, "evolve", evolved)
+    monkeypatch.setattr(cli, "convergence_scan", evolved)
+    out = tmp_path / "scan.csv"
+    assert main(["verify", "--config", str(CONFIGS / "desk-verification.cfg"),
+                 "--scan", axis, "--modes", "9", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "configuration error: verify --scan reads no --modes; remove one of them\n"
+    assert not out.exists()
+
+
 def test_cli_validity_guard_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "units.mode": "natural",
@@ -741,6 +756,20 @@ def test_non_finite_mode_sum_is_a_numerical_failure(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# A gap of 1e308 overflows omega T, so every transit phase is infinite; the
+# closed forms would be NaN, and no quadrature is needed to see it.
+@pytest.mark.parametrize("command", ["amplitudes", "kernels"])
+def test_non_finite_transit_phase_is_a_numerical_failure(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {"units.mode": "natural", "cavity.length": "1",
+                                  "atom.speed": "1e-3", "atom.gap": "1e308",
+                                  "atom.coupling_ratio": "0", "field.mode": "1",
+                                  "field.photons": "0"})
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--mode", "1", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "numerical failure: transit phase inf is not finite\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["amplitudes", "kernels"])
 @pytest.mark.parametrize("quad_tol", ["nan", "inf"])
 def test_non_finite_quad_tol_is_a_configuration_error(tmp_path, capsys, command, quad_tol):
@@ -767,17 +796,26 @@ def test_quad_tol_at_the_ceiling_is_a_configuration_error(tmp_path, capsys, comm
     assert not out.exists()
 
 
-def test_cli_resolution_warns_when_it_reports_the_scan_cap(tmp_path, capsys):
+def test_cli_resolution_reports_a_threshold_above_ten_million(tmp_path, capsys):
     out = tmp_path / "resolution.csv"
     assert main(["resolution", "--config", str(CONFIGS / "optical-microcavity.cfg"),
-                 "--floor", "1e-300", "--output", str(out)]) == 0
+                 "--floor", "1e-12", "--output", str(out)]) == 0
     err = capsys.readouterr().err
-    assert "floor 1e-300 rad: 10000000\n" in err
+    assert err == "largest n resolving a single photon at floor 1e-12 rad: 36527467\n"
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
-    assert manifest["threshold_n"] == 10_000_000
-    [warning] = [w for w in manifest["warnings"] if "RESOLUTION_N_CAP" in w]
-    assert "threshold lies above the cap" in warning
-    assert warning in err
+    assert manifest["threshold_n"] == 36_527_467
+    assert manifest["warnings"] == []
+
+
+def test_cli_resolution_refuses_a_threshold_beyond_2_pow_53(tmp_path, capsys):
+    out = tmp_path / "resolution.csv"
+    assert main(["resolution", "--config", str(CONFIGS / "optical-microcavity.cfg"),
+                 "--floor", "1e-300", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: resolution floor 1e-300 rad puts the "
+                          "threshold beyond 2**53")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("phis", [["--phi", "inf"], ["--phi", "nan"],
