@@ -5,7 +5,8 @@ picks up a photon-number-dependent phase while, for even probed harmonics on
 resonance, leaving the field state untouched at leading order.  This package
 computes the closed-form transit amplitudes and second-order kernels behind
 that effect, assembles the observable predictions (transition probability,
-phase, visibility, resolution curves), and verifies everything against
+phase, visibility, phase differences and the resolution threshold) row by
+row over arrays of photon numbers, and verifies everything against
 independent numerical quadrature and an exactly evolved truncated system.
 """
 
@@ -16,7 +17,6 @@ from .amplitudes import (
     counter_rotating_mode_sum,
     x_closed,
     x_detuned_leading,
-    x_mod_squared,
     x_quadrature,
 )
 from .config import ConfigError, ResolvedConfig, parse_config, resolve_mapping
@@ -35,20 +35,16 @@ from .model import (
     TruncationReport,
     build_setup,
     prepare_field,
-    resonant_gap,
 )
 from .observables import (
     BranchError,
-    EtaPhase,
-    ProbeOutcome,
     TransitionBreakdown,
     classify_validity,
-    delta_gamma_exact,
     delta_gamma_linear,
-    eta_phase,
+    delta_gamma_rows,
+    eta_rows,
     fringe,
     phase_components,
-    probe_outcome,
     resolution_threshold,
     survival_amplitude,
     transition_probability,
@@ -68,13 +64,11 @@ __all__ = [
     "BranchError",
     "ConfigError",
     "ConvergenceError",
-    "EtaPhase",
     "FieldPreparation",
     "HilbertTruncation",
     "OracleResult",
     "ParameterError",
     "PRESETS",
-    "ProbeOutcome",
     "ProbeSetup",
     "ProbeWarning",
     "ResolvedConfig",
@@ -90,25 +84,22 @@ __all__ = [
     "convergence_scan",
     "counter_rotating_mode_sum",
     "default_truncation",
-    "delta_gamma_exact",
     "delta_gamma_linear",
-    "eta_phase",
+    "delta_gamma_rows",
+    "eta_rows",
     "evolve",
     "fringe",
     "mode_sum_offres",
     "parse_config",
     "phase_components",
     "prepare_field",
-    "probe_outcome",
     "resolve_mapping",
     "resolution_threshold",
-    "resonant_gap",
     "run_sweep",
     "survival_amplitude",
     "transition_probability",
     "validity",
     "x_closed",
     "x_detuned_leading",
-    "x_mod_squared",
     "x_quadrature",
 ]

@@ -277,11 +277,6 @@ def x_quadrature(setup: ProbeSetup, beta: int, sign: int, quad_tol: float = 1e-1
     return complex(value)
 
 
-def x_mod_squared(setup: ProbeSetup, beta: int, sign: int) -> float:
-    """|X_{sign,beta}|^2, computed from the complex closed form."""
-    return abs(x_closed(setup, beta, sign)) ** 2
-
-
 def x_detuned_leading(setup: ProbeSetup, alpha: int, delta: float) -> complex:
     """Leading-order rotating amplitude of an even mode at small detuning.
 

@@ -24,7 +24,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .amplitudes import ConvergenceError, _check_mode_sign, _closed_array, x_quadrature
+from .amplitudes import (
+    ConvergenceError,
+    _check_mode_sign,
+    _check_quad_tol,
+    _closed_array,
+    x_quadrature,
+)
 from .config import MAX_SWEEP_ROWS, ConfigError, SweepRequest, parse_config, resolve_mapping
 from .kernels import _reduced_kernel, c_quadrature, mode_sum_offres
 from .model import ParameterError, prepare_field
@@ -32,11 +38,13 @@ from .observables import (
     BranchError,
     _warn_validity,
     classify_validity,
-    eta_phase,
+    eta_rows,
     fringe,
-    probe_outcome,
+    phase_components,
     resolution_threshold,
+    survival_amplitude,
     transition_probability,
+    validity,
 )
 from .oracle import _check_scan_tolerances, convergence_scan, default_truncation, evolve
 from .sweeps import PRESETS, compute_rows, largest_validity, run_sweep, write_outputs
@@ -254,13 +262,25 @@ def _cmd_transition(args, resolved, caught) -> int:
     return EXIT_OK
 
 
+def _eta_row(setup, prep, modes=None):
+    """(eta, visibility, truncation report) of A(prep.photons), one row of ``eta_rows``;
+    raises :class:`BranchError` when Re A <= 0."""
+    comps = phase_components(setup, prep.mode, modes)
+    eta, visibility, failed = eta_rows(survival_amplitude(comps, setup, prep.photons))
+    if failed:
+        raise BranchError(failed[0])
+    return complex(eta[0]), float(visibility[0]), comps.report
+
+
 def _cmd_phase(args, resolved, caught) -> int:
-    outcome = probe_outcome(resolved.setup, resolved.prep)
+    setup, prep = resolved.setup, resolved.prep
+    transition = transition_probability(setup, prep)
+    eta, visibility, report = _eta_row(setup, prep)
     header = ["p_excite", "gamma", "visibility", "validity"]
-    rows = [[outcome.p_excite, outcome.gamma, outcome.visibility, outcome.validity]]
+    rows = [[transition.total, eta.real, visibility, validity(setup, prep.photons)]]
     write_outputs(args.output, header, rows, resolved, "phase", _messages(caught),
-                  {"truncation": outcome.phase.report.as_dict(),
-                   "vacuum_truncation": outcome.transition.report.as_dict()}, args.quiet)
+                  {"truncation": report.as_dict(),
+                   "vacuum_truncation": transition.report.as_dict()}, args.quiet)
     return EXIT_OK
 
 
@@ -311,11 +331,11 @@ def _cmd_verify(args, resolved, caught) -> int:
         kept = [b for b, _ in trunc.modes]
         result = evolve(setup, prep, trunc, integ_tol=args.tol)
         pert_p = transition_probability(setup, prep, modes=kept).total
-        phase = eta_phase(setup, prep, modes=kept)
+        eta, _, _ = _eta_row(setup, prep, modes=kept)
         pairs = [
             ("p_excite", pert_p, result.p_excite_numeric),
-            ("gamma", phase.gamma, result.eta_numeric.real),
-            ("im_eta", phase.eta.imag, result.eta_numeric.imag),
+            ("gamma", eta.real, result.eta_numeric.real),
+            ("im_eta", eta.imag, result.eta_numeric.imag),
         ]
         header = ["observable", "perturbative", "oracle", "abs_dev", "rel_dev"]
         rows = []
@@ -325,10 +345,10 @@ def _cmd_verify(args, resolved, caught) -> int:
             rows.append([name, pert, orac, dev, rel])
         # Second order is trustworthy when the mismatch is far below the
         # signal itself; flag otherwise.
-        ok = abs(phase.gamma - result.eta_numeric.real) <= 0.05 * max(abs(phase.gamma), 1e-300)
+        ok = abs(eta.real - result.eta_numeric.real) <= 0.05 * max(abs(eta.real), 1e-300)
         ok = ok and result.norm_drift <= 10.0 * args.tol
         summary = ("PASS" if ok else "FAIL") + (
-            f": gamma dev {abs(phase.gamma - result.eta_numeric.real):.3e}, "
+            f": gamma dev {abs(eta.real - result.eta_numeric.real):.3e}, "
             f"norm drift {result.norm_drift:.3e}"
         )
         extra = {
@@ -396,6 +416,8 @@ def main(argv=None) -> int:
                                   "or run sweep")
             if args.command == "resolution":
                 resolved = replace(resolved, sweep=_resolution_request(args))
+            if args.command in ("amplitudes", "kernels"):  # with or without --quadrature-check
+                _check_quad_tol(args.quad_tol)
             if args.command == "verify":  # flags, checked before anything evolves
                 if args.scan and args.modes is not None:
                     raise ConfigError("verify --scan reads no --modes; remove one of them")

@@ -172,13 +172,6 @@ def build_setup(
     return setup
 
 
-def resonant_gap(setup: ProbeSetup, alpha: int) -> float:
-    """Gap that puts the atom on resonance with mode alpha: omega_alpha = alpha pi c / L."""
-    if alpha != int(alpha) or alpha < 1:
-        raise ParameterError(f"mode index must be a positive integer, got {alpha}")
-    return setup.mode_frequency(int(alpha))
-
-
 @dataclass(frozen=True)
 class FieldPreparation:
     """Initial field state: n photons in mode alpha, vacuum elsewhere.

@@ -10,7 +10,10 @@ and eta = -i Ln A(n) on the principal branch.  The measurable interferometric
 phase is gamma = Re(eta) = arg A(n); the fringe visibility factor is
 exp(-|Im eta|).  Phase differences between photon numbers are evaluated from
 the single Ln of the amplitude ratio, never by subtracting two rounded phases.
-Tables of them over (n, m) grids are resolution sweeps (``sweeps.compute_rows``).
+Every observable is a row of an array: :func:`phase_components` once per
+mode, :func:`survival_amplitude` over photon numbers, then :func:`eta_rows`
+or :func:`delta_gamma_rows`; one point is one row, and tables over (n, m)
+grids are resolution sweeps (``sweeps.compute_rows``).
 A(n) is affine in n, so the largest n at which one photon still turns the
 phase by a given floor has a closed form (:func:`resolution_threshold`).
 """
@@ -46,17 +49,13 @@ class BranchError(RuntimeError):
     """Survival amplitude left the principal-branch safe half-plane."""
 
 
-def validity(setup: ProbeSetup, prep: FieldPreparation) -> float:
-    """Perturbation-validity estimator (lambda/Omega) * n * (L/v).
+def validity(setup: ProbeSetup, photons):
+    """Perturbation-validity estimator (lambda/Omega) * n * (L/v) at n = ``photons``.
 
     Quoted with the transit time in the setup's own units; classification via
-    :func:`classify_validity`.  Zero coupling or zero photons give 0.
+    :func:`classify_validity`.  ``photons`` may be a number or an array, with
+    one operation order for both.  Zero coupling or zero photons give 0.
     """
-    return _validity(setup, prep.photons)
-
-
-def _validity(setup: ProbeSetup, photons):
-    # photons may be an array: one operation order for scalar and column
     return setup.coupling_ratio * photons * setup.crossing_time
 
 
@@ -174,9 +173,9 @@ def eta_rows(amplitudes):
     Returns ``(eta, visibility, failed)`` with visibility = exp(-|Im eta|).
     ``failed`` maps each row with Re A <= 0 to its message, in row order;
     eta and visibility are NaN there.  Warns once per row, in row order,
-    where |eta| > pi/2.
+    where |eta| > pi/2.  A single amplitude counts as one row.
     """
-    amplitudes = np.asarray(amplitudes, dtype=complex)
+    amplitudes = np.array(amplitudes, dtype=complex, ndmin=1)
     failed = _branch_failures("principal-branch phase extraction is ambiguous", amplitudes)
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = -1j * np.log(amplitudes)
@@ -188,71 +187,16 @@ def eta_rows(amplitudes):
     return eta, np.exp(-np.abs(eta.imag)), failed
 
 
-@dataclass(frozen=True)
-class EtaPhase:
-    """Complex eta with its derived phase and visibility."""
-
-    eta: complex
-    gamma: float
-    visibility: float
-    amplitude: complex
-    report: TruncationReport
-
-
-def eta_phase(setup: ProbeSetup, prep: FieldPreparation, modes=None) -> EtaPhase:
-    """Principal-branch eta = -i Ln A(n) with gamma = Re eta, visibility = exp(-|Im eta|).
-
-    Raises :class:`BranchError` if the amplitude's real part is non-positive;
-    warns when |eta| > pi/2.
-    """
-    comps = phase_components(setup, prep.mode, modes)
-    amplitude = survival_amplitude(comps, setup, prep.photons)
-    eta, visibility, failed = eta_rows([amplitude])
-    if failed:
-        raise BranchError(failed[0])
-    eta = complex(eta[0])
-    return EtaPhase(eta, eta.real, float(visibility[0]), amplitude, comps.report)
-
-
-@dataclass(frozen=True)
-class ProbeOutcome:
-    """Everything one transit predicts for a given preparation."""
-
-    p_excite: float
-    eta: complex
-    gamma: float
-    visibility: float
-    validity: float
-    transition: TransitionBreakdown
-    phase: EtaPhase
-
-
-def probe_outcome(setup: ProbeSetup, prep: FieldPreparation, modes=None) -> ProbeOutcome:
-    """Bundle transition probability, phase, visibility and validity."""
-    val = validity(setup, prep)
-    _warn_validity(val)
-    trans = transition_probability(setup, prep, modes)
-    phase = eta_phase(setup, prep, modes)
-    return ProbeOutcome(
-        p_excite=trans.total,
-        eta=phase.eta,
-        gamma=phase.gamma,
-        visibility=phase.visibility,
-        validity=val,
-        transition=trans,
-        phase=phase,
-    )
-
-
 def delta_gamma_rows(components: PhaseComponents, setup: ProbeSetup, n, m):
     """arg(A(n+m) / A(n)) for each row of the photon-number arrays ``n`` and ``m``.
 
     Returns ``(delta_gamma, failed)``.  A row with m = 0 is 0.0 and never
     fails.  ``failed`` maps each other row where A(n+m) or A(n), tested in
     that order, has Re A <= 0 to its message, in row order; delta_gamma is
-    NaN there.  Raises :class:`ParameterError` if any n or m is negative.
+    NaN there.  A number counts as one row.  Raises :class:`ParameterError`
+    if any n or m is negative.
     """
-    n, m = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(m, dtype=float))
+    n, m = np.broadcast_arrays(*(np.array(x, dtype=float, ndmin=1) for x in (n, m)))
     if np.any(n < 0) or np.any(m < 0):
         raise ParameterError("photon numbers must be non-negative")
     a_hi = survival_amplitude(components, setup, n + m)
@@ -264,27 +208,6 @@ def delta_gamma_rows(components: PhaseComponents, setup: ProbeSetup, n, m):
         delta_gamma = np.where(moved, np.angle(a_hi / a_lo), 0.0)
     delta_gamma[list(failed)] = math.nan
     return delta_gamma, failed
-
-
-def delta_gamma_exact(
-    setup: ProbeSetup,
-    alpha: int,
-    n: int,
-    m: int,
-    modes=None,
-    components: PhaseComponents | None = None,
-) -> float:
-    """gamma(n+m) - gamma(n) from the single Ln of the amplitude ratio.
-
-    Evaluating arg(A(n+m) / A(n)) avoids the catastrophic cancellation of
-    subtracting two separately rounded phases at small coupling.  Pass
-    ``components`` to reuse kernel evaluations across rows.
-    """
-    comps = components if components is not None else phase_components(setup, alpha, modes)
-    delta_gamma, failed = delta_gamma_rows(comps, setup, [n], [m])
-    if failed:
-        raise BranchError(failed[0])
-    return float(delta_gamma[0])
 
 
 def delta_gamma_linear(setup: ProbeSetup, alpha: int, m: int) -> float:
@@ -361,7 +284,7 @@ def fringe(
         raise ParameterError(f"reference_phase must be finite, got {reference_phase}")
     preps = (prep_known, prep_unknown)
     for prep in preps:
-        _warn_validity(validity(setup, prep))
+        _warn_validity(validity(setup, prep.photons))
     comps = {mode: phase_components(setup, mode)
              for mode in dict.fromkeys(prep.mode for prep in preps)}
     a_known, a_unknown = (survival_amplitude(comps[prep.mode], setup, prep.photons)

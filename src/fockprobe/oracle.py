@@ -409,7 +409,7 @@ def evolve(
     if truncation is None:
         truncation = default_truncation(prep)
     truncation.check(prep)
-    _warn_validity(validity(setup, prep))
+    _warn_validity(validity(setup, prep.photons))
 
     space = _OracleSpace(truncation)
     start = space.initial_index(prep)

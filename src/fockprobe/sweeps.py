@@ -28,7 +28,6 @@ import numpy as np
 
 from .config import ConfigError, ResolvedConfig, resolve_mapping
 from .observables import (
-    _validity,
     classify_validity,
     delta_gamma_rows,
     eta_rows,
@@ -83,7 +82,7 @@ def _rebuilt_amplitudes(resolved: ResolvedConfig):
             continue
         comps = phase_components(point.setup, point.prep.mode)
         amplitudes[row] = survival_amplitude(comps, point.setup, point.prep.photons)
-        validities[row] = validity(point.setup, point.prep)
+        validities[row] = validity(point.setup, point.prep.photons)
     return amplitudes, validities, failed
 
 
@@ -111,7 +110,7 @@ def largest_validity(resolved: ResolvedConfig, other_arm: int = 0) -> float:
         setup = replace(setup, atom_speed=min(speeds, default=setup.atom_speed))
     elif variable == "coupling_ratio":
         setup = replace(setup, coupling=max(request.values) * setup.atom_gap)
-    return _validity(setup, photons)
+    return validity(setup, photons)
 
 
 def compute_rows(resolved: ResolvedConfig):
@@ -140,7 +139,7 @@ def compute_rows(resolved: ResolvedConfig):
         if request.variable == "n":
             n = np.array(request.values, dtype=float)
             amplitudes = survival_amplitude(comps, setup, n)
-            validities = _validity(setup, n)
+            validities = validity(setup, n)
             failed = {}
         else:
             amplitudes, validities, failed = _rebuilt_amplitudes(resolved)

@@ -15,7 +15,6 @@ from fockprobe import (
     counter_rotating_mode_sum,
     x_closed,
     x_detuned_leading,
-    x_mod_squared,
     x_quadrature,
 )
 from fockprobe.amplitudes import _closed_array, _reduced_amplitude, _transit_phases
@@ -108,7 +107,7 @@ def test_detuning_quadratic_scaling_of_probability():
     for frac in np.geomspace(1e-6, 1e-4, 7):
         delta = frac * omega
         setup = resonant(2, detuning=delta)
-        ratios.append(x_mod_squared(setup, 2, -1) / delta**2)
+        ratios.append(abs(x_closed(setup, 2, -1)) ** 2 / delta**2)
     ratios = np.array(ratios)
     assert ratios.max() / ratios.min() < 1.05
 
@@ -143,7 +142,7 @@ def test_literal_mod_squared_form_agrees(rng):
                             coupling_ratio=1e-4, unit_mode="natural")
         beta = int(rng.integers(1, 13))
         sign = int(rng.choice([-1, 1]))
-        ours = x_mod_squared(setup, beta, sign)
+        ours = abs(x_closed(setup, beta, sign)) ** 2
         literal = literal_mod_squared(setup, beta, sign)
         assert literal == pytest.approx(ours, rel=1e-10, abs=1e-300)
 
@@ -157,7 +156,7 @@ def test_speed_tuned_counter_rotating_cancellation():
         a = (setup.mode_frequency(alpha) + setup.atom_gap) * setup.crossing_time
         b = alpha * math.pi
         envelope = (setup.crossing_time * math.sqrt(b) / (a + b)) ** 2
-        assert x_mod_squared(setup, alpha, +1) <= 1e-24 * envelope
+        assert abs(x_closed(setup, alpha, +1)) ** 2 <= 1e-24 * envelope
 
 
 def test_resonant_amplitude_scales_inverse_speed():
@@ -179,7 +178,7 @@ def test_quadrature_reports_convergence_failure():
 def test_counter_rotating_mode_sum_explicit_vs_adaptive(monkeypatch):
     setup = resonant(2)
     explicit, report = counter_rotating_mode_sum(setup, 2, modes=[1, 2, 3, 4, 5])
-    manual = sum(x_mod_squared(setup, b, +1) for b in (1, 3, 4, 5))
+    manual = sum(abs(x_closed(setup, b, +1)) ** 2 for b in (1, 3, 4, 5))
     assert explicit == pytest.approx(manual, rel=1e-14)
     assert report.converged and report.tail_estimate == 0.0
     monkeypatch.setattr(amplitudes, "MAX_MODE", 4000)

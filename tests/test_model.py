@@ -8,7 +8,6 @@ from fockprobe import (
     ProbeWarning,
     build_setup,
     prepare_field,
-    resonant_gap,
 )
 
 
@@ -84,16 +83,6 @@ def test_coupling_ratio_warning():
     with pytest.warns(ProbeWarning):
         build_setup(1.0, 1e-3, light_speed=1.0, resonant_with_mode=2,
                     coupling_ratio=1e-8, unit_mode="natural")
-
-
-def test_resonant_gap_values(natural_setup):
-    assert resonant_gap(natural_setup, 2) == 2 * math.pi
-    si = build_setup(1e-6, 1000.0, light_speed=3e8,
-                     resonant_with_mode=2, coupling_ratio=1e-4)
-    # 2 pi c / L at c = 3e8, L = 1e-6
-    assert resonant_gap(si, 2) == pytest.approx(1.8849555921538758e15, rel=1e-12)
-    with pytest.raises(ParameterError):
-        resonant_gap(natural_setup, 0)
 
 
 def test_dispersion_is_exact(natural_setup):

@@ -14,20 +14,19 @@ from fockprobe import (
     ProbeWarning,
     build_setup,
     classify_validity,
-    delta_gamma_exact,
     delta_gamma_linear,
-    eta_phase,
+    delta_gamma_rows,
+    eta_rows,
     fringe,
     phase_components,
     prepare_field,
-    probe_outcome,
     resolution_threshold,
     resolve_mapping,
     survival_amplitude,
     transition_probability,
     validity,
 )
-from fockprobe.observables import delta_gamma_rows, eta_rows
+from fockprobe.cli import _eta_row
 from fockprobe.sweeps import compute_rows
 
 
@@ -40,16 +39,22 @@ def optical(ratio=1e-4):
     return build_setup(1e-6, 1000.0, resonant_with_mode=2, coupling_ratio=ratio)
 
 
+def delta_gamma(setup, n, m, modes=None):
+    """One row of delta_gamma_rows for the second harmonic."""
+    return delta_gamma_rows(phase_components(setup, 2, modes), setup, n, m)[0][0]
+
+
 def test_zero_coupling_is_inert():
     setup = build_setup(1.0, 1e-3, light_speed=1.0, resonant_with_mode=2,
                         coupling_ratio=0.0, unit_mode="natural")
     prep = prepare_field(setup, 2, 5)
     assert transition_probability(setup, prep).total == 0.0
-    phase = eta_phase(setup, prep)
-    assert phase.eta == 0j
-    assert phase.gamma == 0.0
-    assert phase.visibility == 1.0
-    assert validity(setup, prep) == 0.0
+    (eta,), (visibility,), failed = eta_rows(
+        survival_amplitude(phase_components(setup, 2), setup, prep.photons))
+    assert failed == {}
+    assert eta == 0j
+    assert visibility == 1.0
+    assert validity(setup, prep.photons) == 0.0
 
 
 def test_transition_breakdown_even_resonance():
@@ -99,14 +104,15 @@ def test_eta_small_coupling_linearization():
     assert abs(gamma - float(np.imag(amplitude))) <= abs(eta) ** 2
 
 
-def test_delta_gamma_exact_identities():
+def test_delta_gamma_rows_identities():
     setup = optical()
-    assert delta_gamma_exact(setup, 2, 17, 0) == 0.0
-    d12 = delta_gamma_exact(setup, 2, 3, 12)
-    split = delta_gamma_exact(setup, 2, 3, 5) + delta_gamma_exact(setup, 2, 8, 7)
-    assert abs(d12 - split) < 1e-12
+    comps = phase_components(setup, 2)
+    assert delta_gamma_rows(comps, setup, 17, 0)[0][0] == 0.0
+    (d12, d5, d7), failed = delta_gamma_rows(comps, setup, [3, 3, 8], [12, 5, 7])
+    assert failed == {}
+    assert abs(d12 - (d5 + d7)) < 1e-12
     with pytest.raises(ParameterError):
-        delta_gamma_exact(setup, 2, -1, 1)
+        delta_gamma_rows(comps, setup, -1, 1)
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +135,7 @@ def test_delta_gamma_matches_linear_estimate():
     setup = optical()
     for n in range(0, 11):
         for m in range(1, 6):
-            exact = delta_gamma_exact(setup, 2, n, m)
+            exact = delta_gamma(setup, n, m)
             linear = delta_gamma_linear(setup, 2, m)
             assert exact == pytest.approx(linear, rel=1e-2)
 
@@ -164,7 +170,7 @@ def test_delta_gamma_insensitive_to_mode_sum_truncation(monkeypatch):
     def capped(max_mode):
         with monkeypatch.context() as patch:
             patch.setattr(amplitudes, "MAX_MODE", max_mode)
-            return mode_sum_offres(setup, prep), delta_gamma_exact(setup, 2, 5, 3)
+            return mode_sum_offres(setup, prep), delta_gamma(setup, 5, 3)
 
     # both caps lie beyond the B the tail bound needs: the same sum
     (sum_a, rep_a), dg_loose = capped(2000)
@@ -176,7 +182,7 @@ def test_delta_gamma_insensitive_to_mode_sum_truncation(monkeypatch):
     # cancels at linear order)
     kept = range(1, 2001)
     truncated, _ = mode_sum_offres(setup, prep, modes=kept)
-    dg_kept = delta_gamma_exact(setup, 2, 5, 3, modes=kept)
+    dg_kept = delta_gamma(setup, 5, 3, modes=kept)
     sum_shift = abs(truncated - sum_b) / abs(sum_b)
     dg_shift = abs(dg_kept - dg_tight) / abs(dg_tight)
     assert sum_shift > 1e-5
@@ -199,7 +205,8 @@ def test_gamma_is_unit_invariant(length, speed, ratio, alpha, photons):
     scaled = build_setup(1.0, speed / si.light_speed, light_speed=1.0,
                          resonant_with_mode=alpha, coupling_ratio=ratio,
                          unit_mode="natural")
-    gammas = [eta_phase(s, prepare_field(s, alpha, photons)).gamma for s in (si, scaled)]
+    gammas = [eta_rows(survival_amplitude(phase_components(s, alpha), s, photons))[0].real
+              for s in (si, scaled)]
     assert gammas[0] == pytest.approx(gammas[1], rel=1e-12)
 
 
@@ -232,20 +239,20 @@ def test_resolution_rows_and_threshold():
     # single-photon resolvability threshold against a direct scan
     threshold = resolution_threshold(setup, 2, resolution_floor=1e-4)
     assert threshold is not None
-    assert delta_gamma_exact(setup, 2, threshold, 1) >= 1e-4
-    assert delta_gamma_exact(setup, 2, threshold + 1, 1) < 1e-4
+    assert delta_gamma(setup, threshold, 1) >= 1e-4
+    assert delta_gamma(setup, threshold + 1, 1) < 1e-4
 
 
 def test_resolution_threshold_at_nine_million():
     # the floor at n = 9e6 puts the threshold in the millions
     setup = optical()
-    floor = delta_gamma_exact(setup, 2, 9_000_000, 1)
+    floor = delta_gamma(setup, 9_000_000, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ProbeWarning)
         threshold = resolution_threshold(setup, 2, resolution_floor=floor)
     assert 2**23 < threshold < 10**7
-    assert delta_gamma_exact(setup, 2, threshold, 1) >= floor
-    assert delta_gamma_exact(setup, 2, threshold + 1, 1) < floor
+    assert delta_gamma(setup, threshold, 1) >= floor
+    assert delta_gamma(setup, threshold + 1, 1) < floor
 
 
 SCAN_ROWS = 4000
@@ -320,8 +327,11 @@ def test_branch_guard_raises_and_warns():
     # detuned microcavity whose A(2000) has real part -0.29
     detuned = build_setup(1e-6, 1000.0, resonant_with_mode=2, detuning=3e6,
                           coupling_ratio=1e-4)
-    with pytest.raises(BranchError):
-        eta_phase(detuned, prepare_field(detuned, 2, 2000))
+    amplitude = survival_amplitude(phase_components(detuned, 2), detuned, 2000)
+    eta, visibility, failed = eta_rows(amplitude)
+    assert list(failed) == [0] and math.isnan(eta[0].real) and math.isnan(visibility[0])
+    with pytest.raises(BranchError, match="non-positive real part"):
+        _eta_row(detuned, prepare_field(detuned, 2, 2000))
     with pytest.warns(ProbeWarning):
         # arg 1.2 with log-modulus 1.2: |eta| = 1.7 > pi/2 but Re > 0
         eta_rows([cmath.rect(math.exp(1.2), 1.2)])
@@ -355,29 +365,16 @@ def test_fringe_identities():
 
 def test_validity_estimator():
     setup = natural()
-    assert validity(setup, prepare_field(setup, 2, 0)) == 0.0
+    assert validity(setup, 0) == 0.0
     # microwave-scale numbers: 1 cm cavity, 1000 m/s: 1e-9 per photon
     microwave = build_setup(1e-2, 1000.0, resonant_with_mode=2, coupling_ratio=1e-4)
-    per_photon = validity(microwave, prepare_field(microwave, 2, 1))
+    per_photon = validity(microwave, 1)
     assert per_photon == pytest.approx(1e-9, rel=1e-12)
-    assert validity(microwave, prepare_field(microwave, 2, 7)) == pytest.approx(
-        7 * per_photon, rel=1e-12
-    )
+    assert validity(microwave, 7) == pytest.approx(7 * per_photon, rel=1e-12)
+    # an array of photon numbers gives the same numbers, element by element
+    photons = np.array([0.0, 1.0, 7.0])
+    assert validity(microwave, photons).tolist() == [0.0, per_photon, validity(microwave, 7)]
     assert classify_validity(1e-3) == "ok"
     assert classify_validity(0.5) == "marginal"
     assert classify_validity(2.0) == "invalid"
 
-
-def test_probe_outcome_bundle_and_validity_warning():
-    import warnings
-
-    setup = natural()
-    prep = prepare_field(setup, 2, 5)  # estimator 0.5: marginal
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        outcome = probe_outcome(setup, prep)
-    assert any("marginal" in str(w.message) for w in caught)
-    assert outcome.gamma == outcome.phase.gamma
-    assert outcome.p_excite == outcome.transition.total
-    assert outcome.validity == pytest.approx(0.5, rel=1e-12)
-    assert 0.0 < outcome.visibility <= 1.0

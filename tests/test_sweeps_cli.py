@@ -16,6 +16,8 @@ from fockprobe import (
     c_closed,
     c_quadrature,
     counter_rotating_mode_sum,
+    default_truncation,
+    eta_rows,
     fringe,
     mode_sum_offres,
     parse_config,
@@ -24,6 +26,7 @@ from fockprobe import (
     resolve_mapping,
     run_sweep,
     survival_amplitude,
+    transition_probability,
     validity,
     x_closed,
     x_quadrature,
@@ -272,6 +275,25 @@ def test_cli_resolution_and_fringe(tmp_path, capsys):
         [phi, *fringe(resolved.setup, resolved.prep, unknown, phi)] for phi in phis]
 
 
+def test_cli_verify_perturbative_cells_are_one_row(tmp_path):
+    # p_excite, gamma and im_eta of the perturbative column come from the
+    # closed forms restricted to the kept modes, through the row path
+    out = tmp_path / "verify.csv"
+    cfg = CONFIGS / "desk-verification.cfg"
+    assert main(["verify", "--config", str(cfg), "--output", str(out), "--quiet"]) == 0
+    perturbative = {row[0]: float(row[1]) for row in list(csv.reader(open(out)))[1:]}
+    resolved = parse_config(cfg)
+    setup, prep = resolved.setup, resolved.prep
+    kept = [b for b, _ in default_truncation(prep).modes]
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["kept_modes"] == kept
+    comps = phase_components(setup, prep.mode, modes=kept)
+    (eta,), _, failed = eta_rows(survival_amplitude(comps, setup, prep.photons))
+    assert failed == {}
+    assert perturbative == {"p_excite": transition_probability(setup, prep, modes=kept).total,
+                            "gamma": eta.real, "im_eta": eta.imag}
+
+
 def test_cli_verify_pass(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "units.mode": "natural",
@@ -487,8 +509,7 @@ def test_branch_crossing_rows_match_scalar_reference(tmp_path, sweep):
                 eta = -1j * cmath.log(amp)
                 assert float(cells["gamma"]) == eta.real
                 assert _within_ulps(cells["visibility"], math.exp(-abs(eta.imag)), 2)
-                assert float(cells["validity"]) == validity(
-                    resolved.setup, prepare_field(resolved.setup, 2, n))
+                assert float(cells["validity"]) == validity(resolved.setup, n)
                 if abs(eta) > math.pi / 2:
                     expected_warnings.append(f"|eta| = {abs(eta):.3g} inside "
                                              "principal-branch ambiguity zone (> pi/2)")
@@ -542,26 +563,66 @@ def test_cli_resolution_marks_branch_crossing_rows(tmp_path, capsys):
     assert out.read_bytes() == sweep_out.read_bytes()
 
 
+def _phase_cells(tmp_path, lines):
+    """The cells of the one row ``phase`` writes for a configuration, by column."""
+    out = tmp_path / "phase.csv"
+    assert main(["phase", "--config", str(write_config(tmp_path, lines, "point.cfg")),
+                 "--output", str(out), "--quiet"]) == 0
+    return dict(zip(*csv.reader(open(out))))
+
+
+def _sweep_rows(tmp_path, lines):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(write_config(tmp_path, lines, "sweep.cfg")),
+                 "--output", str(out), "--quiet"]) == 0
+    header, *rows = csv.reader(open(out))
+    return [dict(zip(header, row)) for row in rows]
+
+
 def test_delta_rows_follow_the_configured_resonance(tmp_path):
-    # the atom is locked to the fourth harmonic while the second is probed
+    # the atom is locked to the fourth harmonic while the second is probed; a
+    # sweep row is the row phase writes at that point, cell for cell
     base = {**NATURAL_BASE, "atom.resonant_with_mode": "4", "field.photons": "1"}
     detunings = ["-0.3", "-0.01", "0.0", "0.02", "0.4"]
-    cfg = write_config(tmp_path, {**base, "sweep.variable": "delta",
-                                  "sweep.values": ", ".join(detunings)}, "sweep.cfg")
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", str(cfg), "--output", str(out), "--quiet"]) == 0
-    header, *rows = csv.reader(open(out))
-    assert [row[0] for row in rows] == [str(float(d)) for d in detunings]
-    for detuning, row in zip(detunings, rows):
-        point = write_config(tmp_path, {**base, "field.detuning": detuning}, "point.cfg")
-        phase_out = tmp_path / "phase.csv"
-        assert main(["phase", "--config", str(point), "--output", str(phase_out),
-                     "--quiet"]) == 0
-        phase = dict(zip(*csv.reader(open(phase_out))))
-        cells = dict(zip(header, row))
+    rows = _sweep_rows(tmp_path, {**base, "sweep.variable": "delta",
+                                  "sweep.values": ", ".join(detunings)})
+    assert [row["delta"] for row in rows] == [str(float(d)) for d in detunings]
+    for detuning, cells in zip(detunings, rows):
+        phase = _phase_cells(tmp_path, {**base, "field.detuning": detuning})
         assert cells["status"] == "ok"
-        assert float(cells["gamma"]) == float(phase["gamma"])
-        assert float(cells["validity"]) == float(phase["validity"])
+        for column in ("gamma", "visibility", "validity"):
+            assert cells[column] == phase[column]
+    # so is the row of an n sweep at n = field.photons
+    rows = _sweep_rows(tmp_path, {**base, "sweep.variable": "n", "sweep.values": "0, 1, 7"})
+    phase = _phase_cells(tmp_path, base)
+    assert rows[1]["n"] == base["field.photons"] and rows[1]["status"] == "ok"
+    for column in ("gamma", "visibility", "validity"):
+        assert rows[1][column] == phase[column]
+
+
+@pytest.mark.filterwarnings("ignore:validity estimator:fockprobe.ProbeWarning")
+def test_cli_phase_row_and_validity_warning(tmp_path, capsys):
+    lines = {**NATURAL_BASE, "atom.coupling_ratio": "1e-4", "field.photons": "5"}
+    out = tmp_path / "phase.csv"
+    assert main(["phase", "--config", str(write_config(tmp_path, lines)),
+                 "--output", str(out)]) == 0
+    cells = {key: float(value) for key, value in zip(*csv.reader(open(out)))}
+    resolved = resolve_mapping(lines)
+    setup, prep = resolved.setup, resolved.prep
+    (eta,), (visibility,), failed = eta_rows(
+        survival_amplitude(phase_components(setup, 2), setup, prep.photons))
+    assert failed == {}
+    assert cells == {"p_excite": transition_probability(setup, prep).total,
+                     "gamma": eta.real, "visibility": visibility,
+                     "validity": validity(setup, prep.photons)}
+    assert cells["validity"] == pytest.approx(0.5, rel=1e-12)
+    assert 0.0 < cells["visibility"] <= 1.0
+    # the estimator is marginal: its warning reaches stderr and the manifest once
+    assert capsys.readouterr().err.count("validity estimator 0.5 is marginal") == 1
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert [w for w in manifest["warnings"] if "validity estimator" in w] == [
+        "validity estimator 0.5 is marginal (perturbative trust requires < 1, "
+        "comfortable below 0.1)"]
 
 
 def test_delta_sweep_with_atom_gap_is_a_configuration_error(tmp_path, capsys):
@@ -770,12 +831,20 @@ def test_non_finite_transit_phase_is_a_numerical_failure(tmp_path, capsys, comma
     assert not out.exists()
 
 
+# --quad-tol is refused whether or not --quadrature-check asks for a quadrature
+QUAD_CHECK = ["--quadrature-check"]
+
+
 @pytest.mark.parametrize("command", ["amplitudes", "kernels"])
-@pytest.mark.parametrize("quad_tol", ["nan", "inf"])
-def test_non_finite_quad_tol_is_a_configuration_error(tmp_path, capsys, command, quad_tol):
+@pytest.mark.parametrize("quad_tol, check", [
+    pytest.param("nan", QUAD_CHECK, id="nan"), pytest.param("inf", QUAD_CHECK, id="inf"),
+    pytest.param("nan", [], id="nan-unchecked"),
+])
+def test_non_finite_quad_tol_is_a_configuration_error(tmp_path, capsys, command, quad_tol,
+                                                       check):
     out = tmp_path / "out.csv"
     assert main([command, "--config", str(write_config(tmp_path, FAST_LINES)), "--mode", "1",
-                 "--quadrature-check", "--quad-tol", quad_tol, "--output", str(out)]) == 1
+                 *check, "--quad-tol", quad_tol, "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "quad_tol" in err
@@ -783,12 +852,16 @@ def test_non_finite_quad_tol_is_a_configuration_error(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize("command", ["amplitudes", "kernels"])
-@pytest.mark.parametrize("quad_tol", ["0.1", "1e300"])
-def test_quad_tol_at_the_ceiling_is_a_configuration_error(tmp_path, capsys, command, quad_tol):
+@pytest.mark.parametrize("quad_tol, check", [
+    pytest.param("0.1", QUAD_CHECK, id="0.1"), pytest.param("1e300", QUAD_CHECK, id="1e300"),
+    pytest.param("5", [], id="5-unchecked"),
+])
+def test_quad_tol_at_the_ceiling_is_a_configuration_error(tmp_path, capsys, command, quad_tol,
+                                                          check):
     # an error estimate of a tenth of the value certifies nothing
     out = tmp_path / "out.csv"
     assert main([command, "--config", str(CONFIGS / "desk-verification.cfg"), "--mode", "1",
-                 "--quadrature-check", "--quad-tol", quad_tol, "--output", str(out)]) == 1
+                 *check, "--quad-tol", quad_tol, "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "quad_tol must be positive and below 0.1" in err
