@@ -309,8 +309,6 @@ _DIFFERENCES = np.array([[(-1) ** (k - j) * math.comb(k, j) for j in range(PARTS
 _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
               (-3617, 510), (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730))
 _ODD = 2 * np.arange(len(_BERNOULLI)) + 1
-# the smallest argument at which _hurwitz_zeta meets double precision
-ZETA_MIN_X = 33.0
 
 
 def _zeta_weights(lead):
@@ -331,7 +329,7 @@ _ZETA_WEIGHTS = {lead: _zeta_weights(lead) for lead in (2, 3)}
 
 
 def _hurwitz_zeta(lead, x):
-    """Hurwitz zeta(lead + k, x) for k < LAURENT_ORDER, lead 2 or 3 and x > 0.
+    """Hurwitz zeta(lead + k, x) for k < LAURENT_ORDER, lead 2 or 3 and x >= 33.
 
     Euler-Maclaurin summation of sum_{m>=0} (m + x)^-s with no direct terms
     (DLMF 25.11 and 2.10):
@@ -342,19 +340,13 @@ def _hurwitz_zeta(lead, x):
     The terms' derivatives keep one sign, so the remainder is at most the
     first omitted term (j = 13), below 1e-19 relative for s <= 26 at x >= 33;
     rounding leaves the result within 2 eps relative of the exact value.
-    The domain is x >= ZETA_MIN_X = 33, which the mode-sum tails always
-    meet: they call it with x = first - c, where first >= DIRECT_MODES + 1
-    and every pole centre c <= 0.  A smaller x (a lowered MAX_MODE) is
-    shifted into the domain by summing its first terms directly.
+    The mode-sum tails meet the domain x >= 33 whenever MAX_MODE >=
+    DIRECT_MODES: they call it with x = first - c, where first >=
+    DIRECT_MODES + 1 and every pole centre c <= 0.
     """
     x = float(x)
     s = lead + _POWERS
-    direct = 0.0
-    if x < ZETA_MIN_X:
-        terms = x + np.arange(math.ceil(ZETA_MIN_X - x))
-        direct = np.sum(terms[:, None] ** -s, axis=0)
-        x += len(terms)
-    return direct + x ** -s * (x / (s - 1) + 0.5 + _ZETA_WEIGHTS[lead] @ x ** -_ODD)
+    return x ** -s * (x / (s - 1) + 0.5 + _ZETA_WEIGHTS[lead] @ x ** -_ODD)
 
 
 def _rational_tail(kappa, zeros, poles, first):

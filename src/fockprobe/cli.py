@@ -33,7 +33,7 @@ from .amplitudes import (
 )
 from .config import MAX_SWEEP_ROWS, ConfigError, SweepRequest, parse_config, resolve_mapping
 from .kernels import _reduced_kernel, c_quadrature, mode_sum_offres
-from .model import ParameterError, prepare_field
+from .model import ParameterError
 from .observables import (
     BranchError,
     _warn_validity,
@@ -285,9 +285,8 @@ def _cmd_phase(args, resolved, caught) -> int:
 
 
 def _cmd_resolution(args, resolved, caught) -> int:
-    header, rows, _ = compute_rows(resolved)
-    threshold = resolution_threshold(resolved.setup, resolved.prep.mode,
-                                     resolution_floor=args.floor)
+    header, rows, comps = compute_rows(resolved)
+    threshold = resolution_threshold(comps, resolved.setup, args.floor)
     if not args.quiet:
         sys.stderr.write(
             f"largest n resolving a single photon at floor {args.floor:g} rad: "
@@ -303,8 +302,9 @@ def _cmd_fringe(args, resolved, caught) -> int:
     for phi in phis:
         if not math.isfinite(phi):
             raise ConfigError(f"--phi must be finite, got {phi}")
-    unknown = prepare_field(resolved.setup, resolved.prep.mode, args.unknown_photons)
-    p_plus, p_minus = fringe(resolved.setup, resolved.prep, unknown, phis)
+    setup, prep = resolved.setup, resolved.prep
+    p_plus, p_minus = fringe(phase_components(setup, prep.mode), setup, prep.photons,
+                             args.unknown_photons, phis)
     header = ["phi", "p_plus", "p_minus"]
     rows = list(zip(phis, p_plus.tolist(), p_minus.tolist()))
     write_outputs(args.output, header, rows, resolved, "fringe", _messages(caught),

@@ -6,16 +6,19 @@ The survival amplitude after one transit is, to second order in the coupling,
                           + Sum_{beta != alpha} conj(C_{+,beta}) / (k_beta L)
                           + (n+1) conj(C_{+,alpha}) / (k_alpha L) ],
 
-and eta = -i Ln A(n) on the principal branch.  The measurable interferometric
+a line A(n) = 1 - lambda^2 (intercept + n slope) in the photon number, and
+eta = -i Ln A(n) on the principal branch.  The measurable interferometric
 phase is gamma = Re(eta) = arg A(n); the fringe visibility factor is
-exp(-|Im eta|).  Phase differences between photon numbers are evaluated from
-the single Ln of the amplitude ratio, never by subtracting two rounded phases.
+exp(-|Im eta|).  A phase difference is never the difference of two rounded
+phases nor the ratio of two amplitudes near 1: one photon step
+A(n) - A(n+1) = lambda^2 slope comes straight from the kernels, and
+Delta gamma = arg(1 - m lambda^2 slope / A(n)) (:func:`delta_gamma_rows`).
 Every observable is a row of an array: :func:`phase_components` once per
 mode, :func:`survival_amplitude` over photon numbers, then :func:`eta_rows`
 or :func:`delta_gamma_rows`; one point is one row, and tables over (n, m)
-grids are resolution sweeps (``sweeps.compute_rows``).
-A(n) is affine in n, so the largest n at which one photon still turns the
-phase by a given floor has a closed form (:func:`resolution_threshold`).
+grids are resolution sweeps (``sweeps.compute_rows``).  The largest n at
+which one photon still turns the phase by a given floor has a closed form on
+the same line (:func:`resolution_threshold`).
 """
 
 from __future__ import annotations
@@ -121,15 +124,15 @@ def transition_probability(
 
 @dataclass(frozen=True)
 class PhaseComponents:
-    """Second-order survival-amplitude ingredients for a probed mode.
+    """The line A(n) = 1 - lambda^2 (intercept + n slope) of a probed mode alpha.
 
-    All pieces already divided by the corresponding k L; multiply by
-    lambda^2 and the photon-number weights to get the amplitude deficit.
+    intercept = Sum_{beta != alpha} conj(C_{+,beta}) / (k_beta L)
+    + conj(C_{+,alpha}) / (k_alpha L) and slope = (C_{-,alpha} +
+    conj(C_{+,alpha})) / (k_alpha L); ``report`` is the mode sum's.
     """
 
-    rotating_kernel: complex         # C_{-,alpha} / (k_alpha L)
-    counter_rotating_kernel: complex  # conj(C_{+,alpha}) / (k_alpha L)
-    offres_sum: complex              # Sum_{beta != alpha} conj(C_{+,beta}) / (k_beta L)
+    intercept: complex
+    slope: complex
     report: TruncationReport
 
 
@@ -138,20 +141,14 @@ def phase_components(setup: ProbeSetup, alpha: int, modes=None) -> PhaseComponen
     kL = alpha * math.pi
     cm = c_closed(setup, alpha, -1) / kL
     cp = np.conj(c_closed(setup, alpha, +1)) / kL
-    prep = FieldPreparation(mode=alpha, photons=0)
-    total, report = mode_sum_offres(setup, prep, modes=modes)
-    return PhaseComponents(complex(cm), complex(cp), complex(total), report)
+    offres, report = mode_sum_offres(setup, FieldPreparation(mode=alpha, photons=0),
+                                     modes=modes)
+    return PhaseComponents(complex(offres + cp), complex(cm + cp), report)
 
 
 def survival_amplitude(components: PhaseComponents, setup: ProbeSetup, n: int) -> complex:
-    """A(n) = 1 - lambda^2 [ n C_- + offres + (n+1) conj(C_+) ] (all over kL)."""
-    lam2 = setup.coupling**2
-    bracket = (
-        n * components.rotating_kernel
-        + components.offres_sum
-        + (n + 1) * components.counter_rotating_kernel
-    )
-    return 1.0 - lam2 * bracket
+    """A(n) = 1 - lambda^2 (intercept + n slope)."""
+    return 1.0 - setup.coupling**2 * (components.intercept + n * components.slope)
 
 
 def _branch_failures(consequence: str, *amplitudes, where=True) -> dict:
@@ -190,6 +187,8 @@ def eta_rows(amplitudes):
 def delta_gamma_rows(components: PhaseComponents, setup: ProbeSetup, n, m):
     """arg(A(n+m) / A(n)) for each row of the photon-number arrays ``n`` and ``m``.
 
+    Formed as arg(1 - m lambda^2 slope / A(n)), the step lambda^2 slope
+    taken from the kernels, so no two amplitudes near 1 are divided.
     Returns ``(delta_gamma, failed)``.  A row with m = 0 is 0.0 and never
     fails.  ``failed`` maps each other row where A(n+m) or A(n), tested in
     that order, has Re A <= 0 to its message, in row order; delta_gamma is
@@ -199,13 +198,14 @@ def delta_gamma_rows(components: PhaseComponents, setup: ProbeSetup, n, m):
     n, m = np.broadcast_arrays(*(np.array(x, dtype=float, ndmin=1) for x in (n, m)))
     if np.any(n < 0) or np.any(m < 0):
         raise ParameterError("photon numbers must be non-negative")
-    a_hi = survival_amplitude(components, setup, n + m)
     a_lo = survival_amplitude(components, setup, n)
     moved = m != 0
-    failed = _branch_failures("phase difference is branch-ambiguous", a_hi, a_lo,
+    failed = _branch_failures("phase difference is branch-ambiguous",
+                              survival_amplitude(components, setup, n + m), a_lo,
                               where=moved)
+    step = setup.coupling**2 * components.slope
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta_gamma = np.where(moved, np.angle(a_hi / a_lo), 0.0)
+        delta_gamma = np.where(moved, np.angle(1.0 - m * step / a_lo), 0.0)
     delta_gamma[list(failed)] = math.nan
     return delta_gamma, failed
 
@@ -224,11 +224,12 @@ def delta_gamma_linear(setup: ProbeSetup, alpha: int, m: int) -> float:
     return lam * lam * L * L * m / (4.0 * math.pi**2 * alpha**2 * c * v)
 
 
-def resolution_threshold(setup: ProbeSetup, alpha: int, resolution_floor: float = 1e-4):
+def resolution_threshold(components: PhaseComponents, setup: ProbeSetup,
+                         resolution_floor: float = 1e-4):
     """Largest n >= 0 with delta_gamma_rows(n, 1) >= resolution_floor, or None.
 
-    A(n) is affine in n, so A(n) = d (w + n) with d = A(1) - A(0) and
-    w = A(0) / d, and one photon turns the phase by arg(1 + 1/(w + n)).  For
+    A(n) is the line d (w + n) with d = -lambda^2 slope, from the kernels,
+    and w = A(0) / d, so one photon turns the phase by arg(1 + 1/(w + n)).  For
     0 < f < pi that is >= f exactly when y = Im w < 0 and
     (Re w + n + 1/2)^2 <= 1/4 - y (y + cot f): the resolving n form one
     interval.  Its top end, capped by the branch guard Re A(n + 1) > 0 when
@@ -243,9 +244,8 @@ def resolution_threshold(setup: ProbeSetup, alpha: int, resolution_floor: float 
     # written as "not (...)" so that NaN is rejected too
     if not 0.0 < resolution_floor < math.inf:
         raise ParameterError(f"resolution_floor must be finite and positive, got {resolution_floor}")
-    comps = phase_components(setup, alpha)
-    z0, z1 = survival_amplitude(comps, setup, np.array([0.0, 1.0])).tolist()
-    d = z1 - z0
+    z0 = survival_amplitude(components, setup, 0)
+    d = -setup.coupling**2 * components.slope
     if d == 0 or resolution_floor >= math.pi:
         return None
     w = z0 / d
@@ -260,39 +260,34 @@ def resolution_threshold(setup: ProbeSetup, alpha: int, resolution_floor: float 
         raise ParameterError(f"resolution floor {resolution_floor:g} rad puts the threshold "
                              "beyond 2**53, where n and n + 1 round to the same double")
     ns = np.arange(max(math.floor(top) - 2, 0), math.floor(top) + 3)
-    delta_gamma, _ = delta_gamma_rows(comps, setup, ns, 1)
+    delta_gamma, _ = delta_gamma_rows(components, setup, ns, 1)
     passing = np.flatnonzero(delta_gamma >= resolution_floor)
     return int(ns[passing[-1]]) if passing.size else None
 
 
-def fringe(
-    setup: ProbeSetup,
-    prep_known: FieldPreparation,
-    prep_unknown: FieldPreparation,
-    reference_phase=0.0,
-):
-    """Balanced two-port interferometer outputs for the two cavity arms.
+def fringe(components: PhaseComponents, setup: ProbeSetup, known, unknown,
+           reference_phase=0.0):
+    """Balanced two-port interferometer outputs for arms of ``known`` and ``unknown`` photons.
 
     P+- = (1 +- V cos(dgamma + phi)) / 2 with V the product of the arm
-    visibilities and dgamma = gamma(unknown) - gamma(known), taken as
-    arg(A_unknown / A_known): exact, since the branch guard keeps both phases
-    in (-pi/2, pi/2).  The pair always sums to 1.  A sequence of reference
-    phases gives arrays, from one evaluation of the two amplitudes.  Raises
-    :class:`ParameterError` for a reference phase that is not finite.
+    visibilities and dgamma = gamma(unknown) - gamma(known), one row of
+    :func:`delta_gamma_rows` from the smaller photon number, negated when
+    the unknown arm holds fewer photons.  The pair always sums to 1.  A
+    sequence of reference phases gives arrays, from one evaluation of the
+    two arms.  Raises :class:`ParameterError` for a reference phase that is
+    not finite or a negative photon number, and :class:`BranchError` when
+    either arm has Re A <= 0.
     """
     if not np.isfinite(reference_phase).all():
         raise ParameterError(f"reference_phase must be finite, got {reference_phase}")
-    preps = (prep_known, prep_unknown)
-    for prep in preps:
-        _warn_validity(validity(setup, prep.photons))
-    comps = {mode: phase_components(setup, mode)
-             for mode in dict.fromkeys(prep.mode for prep in preps)}
-    a_known, a_unknown = (survival_amplitude(comps[prep.mode], setup, prep.photons)
-                          for prep in preps)
-    _, visibility, failed = eta_rows([a_known, a_unknown])
+    (dgamma,), _ = delta_gamma_rows(components, setup, min(known, unknown),
+                                    abs(unknown - known))
+    arms = np.array([known, unknown], dtype=float)
+    _, visibility, failed = eta_rows(survival_amplitude(components, setup, arms))
     if failed:
         raise BranchError(next(iter(failed.values())))
-    dgamma = float(np.angle(a_unknown / a_known))
+    if unknown < known:
+        dgamma = -dgamma
     vis_known, vis_unknown = visibility.tolist()
     contrast = vis_known * vis_unknown
     p_plus = 0.5 * (1.0 + contrast * np.cos(np.add(dgamma, reference_phase)))

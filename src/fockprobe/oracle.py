@@ -58,7 +58,6 @@ from .model import (
     ProbeSetup,
     ProbeWarning,
 )
-from .observables import _warn_validity, validity
 
 DIMENSION_CAP = 200_000
 
@@ -403,13 +402,11 @@ def evolve(
     unitarity bound below allows a norm off by 100%) or is NaN; when a
     block's sweeps or panel halvings hit their cap; and after integrating if
     the final norm drifts by more than 10 * integ_tol (unitarity bound).
-    Warns when the validity estimator is outside the trusted range.
     """
     _check_integ_tol(integ_tol)
     if truncation is None:
         truncation = default_truncation(prep)
     truncation.check(prep)
-    _warn_validity(validity(setup, prep.photons))
 
     space = _OracleSpace(truncation)
     start = space.initial_index(prep)

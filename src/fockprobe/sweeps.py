@@ -116,8 +116,8 @@ def largest_validity(resolved: ResolvedConfig, other_arm: int = 0) -> float:
 def compute_rows(resolved: ResolvedConfig):
     """Evaluate every row as one array per column; failed rows get a status message.
 
-    Returns (header, rows, report): ``report`` is the truncation report of the
-    phase components at the configured base point, which n and m rows reuse.
+    Returns (header, rows, components): the phase components at the
+    configured base point, which n and m rows reuse.
     """
     request, setup, prep = resolved.sweep, resolved.setup, resolved.prep
     if request is None:
@@ -153,7 +153,7 @@ def compute_rows(resolved: ResolvedConfig):
         for column in columns:
             column[row] = math.nan
     rows = list(zip(*keys, *(column.tolist() for column in columns), status))
-    return header, rows, comps.report
+    return header, rows, comps
 
 
 def write_outputs(output, header, rows, resolved: ResolvedConfig, command, messages=(),
@@ -213,10 +213,10 @@ def run_sweep(resolved: ResolvedConfig, output, quiet: bool = False, messages=()
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        header, rows, report = compute_rows(resolved)
+        header, rows, comps = compute_rows(resolved)
     extra = {
         "validity_class": classify_validity(largest_validity(resolved)),
-        "truncation": report.as_dict(),
+        "truncation": comps.report.as_dict(),
     }
     manifest_path = write_outputs(output, header, rows, resolved, "sweep",
                                   [*messages, *(str(w.message) for w in caught)],

@@ -39,6 +39,12 @@ def optical(ratio=1e-4):
     return build_setup(1e-6, 1000.0, resonant_with_mode=2, coupling_ratio=ratio)
 
 
+def optical_line():
+    """(components, setup) of the optical microcavity's second harmonic."""
+    setup = optical()
+    return phase_components(setup, 2), setup
+
+
 def delta_gamma(setup, n, m, modes=None):
     """One row of delta_gamma_rows for the second harmonic."""
     return delta_gamma_rows(phase_components(setup, 2, modes), setup, n, m)[0][0]
@@ -129,6 +135,53 @@ def test_delta_gamma_is_additive(optical_components, n, m1, m2):
                                                       [m1 + m2, m1, m2])
     assert failed == {}
     assert abs(whole - (first + second)) <= 1e-12 * abs(whole)
+
+
+EPS = np.finfo(float).eps
+
+
+def _assert_delta_gamma_matches_mpmath(comps, setup, n, m):
+    """delta_gamma_rows within 4 eps relative of 50-digit arg(A(n+m) / A(n)),
+    A(n) = 1 - lambda^2 (intercept + n slope) on the same double components,
+    on the rows that pass the branch guard; returns how many those are."""
+    mpmath = pytest.importorskip("mpmath")
+    n, m = (np.array(x, dtype=float) for x in np.broadcast_arrays(n, m))
+    delta_gamma, failed = delta_gamma_rows(comps, setup, n, m)
+    rows = [row for row in range(n.size) if row not in failed]
+    with mpmath.workdps(50):
+        lam2 = mpmath.mpf(setup.coupling) ** 2
+        intercept, slope = mpmath.mpc(comps.intercept), mpmath.mpc(comps.slope)
+
+        def amplitude(photons):
+            return 1 - lam2 * (intercept + mpmath.mpf(photons) * slope)
+
+        for row in rows:
+            exact = mpmath.arg(amplitude(n[row] + m[row]) / amplitude(n[row]))
+            assert abs(delta_gamma[row] - exact) <= 4 * EPS * abs(exact), (n[row], m[row])
+    return len(rows)
+
+
+def test_delta_gamma_matches_high_precision_on_random_setups():
+    # n log-uniform up to 2**52: where A(n) stays near 1, a ratio of two
+    # rounded amplitudes would lose up to 5e-7 relative; most large n fail
+    # the branch guard
+    compared = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        setup = random_setup(rng)
+        photons = [0, 2**52, *np.floor(2.0 ** rng.uniform(0, 52, 6))]
+        for alpha in (2, 4):
+            compared += _assert_delta_gamma_matches_mpmath(
+                phase_components(setup, alpha), setup, np.repeat(photons, 2),
+                np.tile([1, 7], len(photons)))
+    assert compared > 500
+
+
+def test_delta_gamma_matches_high_precision_on_the_microcavity(optical_components):
+    setup, comps = optical_components
+    photons = [0, 1, 10**6, 365_274_737, 3_652_747_428, 2**40, 2**52]
+    assert _assert_delta_gamma_matches_mpmath(comps, setup, np.repeat(photons, 2),
+                                              np.tile([1, 7], len(photons))) == 14
 
 
 def test_delta_gamma_matches_linear_estimate():
@@ -237,7 +290,7 @@ def test_resolution_rows_and_threshold():
     assert by_key[(0, 2)] == pytest.approx(2 * by_key[(0, 1)], rel=1e-2)
     assert by_key[(0, 4)] == pytest.approx(4 * by_key[(0, 1)], rel=1e-2)
     # single-photon resolvability threshold against a direct scan
-    threshold = resolution_threshold(setup, 2, resolution_floor=1e-4)
+    threshold = resolution_threshold(phase_components(setup, 2), setup, 1e-4)
     assert threshold is not None
     assert delta_gamma(setup, threshold, 1) >= 1e-4
     assert delta_gamma(setup, threshold + 1, 1) < 1e-4
@@ -249,7 +302,7 @@ def test_resolution_threshold_at_nine_million():
     floor = delta_gamma(setup, 9_000_000, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ProbeWarning)
-        threshold = resolution_threshold(setup, 2, resolution_floor=floor)
+        threshold = resolution_threshold(phase_components(setup, 2), setup, floor)
     assert 2**23 < threshold < 10**7
     assert delta_gamma(setup, threshold, 1) >= floor
     assert delta_gamma(setup, threshold + 1, 1) < floor
@@ -270,7 +323,7 @@ def test_resolution_threshold_matches_a_brute_force_scan(seed, alpha, k, t):
     floor = abs(delta_gamma[0] + t * (delta_gamma[k] - delta_gamma[0]))
     assume(floor > 0.0)
     passing = np.flatnonzero(delta_gamma >= floor)
-    threshold = resolution_threshold(setup, alpha, resolution_floor=floor)
+    threshold = resolution_threshold(comps, setup, floor)
     if passing.size == 0:
         assert threshold is None
     elif passing[-1] < SCAN_ROWS:
@@ -289,38 +342,52 @@ def test_resolution_threshold_past_a_hump():
     # resolving n; the largest, 4,609,800, is the last before Re A(n + 1) <= 0
     setup = build_setup(1.66488, 0.0527073, light_speed=1.0, atom_gap=7.17708,
                         coupling_ratio=2.05162e-5, unit_mode="natural")
-    threshold = resolution_threshold(setup, 4, resolution_floor=1e-6)
-    assert threshold == 4_609_800
     comps = phase_components(setup, 4)
+    threshold = resolution_threshold(comps, setup, 1e-6)
+    assert threshold == 4_609_800
     edge, _ = delta_gamma_rows(comps, setup, [0, threshold, threshold + 1], 1)
     assert edge[0] < 1e-6 <= edge[1]
     assert math.isnan(edge[2])  # past the branch guard
 
 
+@pytest.mark.parametrize("floor, expected", [
+    (1e-12, 36_527_467), (1e-14, 365_274_736), (1e-16, 3_652_747_426),
+])
+def test_resolution_threshold_is_the_last_passing_row_near_rounding(floor, expected):
+    # one photon turns the phase by 1e-16 rad there, a few eps of it rounding;
+    # the rows within 2000 of the threshold pass up to it and none above
+    comps, setup = optical_line()
+    threshold = resolution_threshold(comps, setup, floor)
+    assert threshold == expected
+    ns = np.arange(threshold - 2000, threshold + 2001)
+    delta_gamma, failed = delta_gamma_rows(comps, setup, ns, 1)
+    assert failed == {}
+    np.testing.assert_array_equal(delta_gamma >= floor, ns <= threshold)
+
+
 def test_resolution_threshold_without_coupling_is_none():
     setup = natural(ratio=0.0)
-    assert resolution_threshold(setup, 2, resolution_floor=1e-300) is None
+    assert resolution_threshold(phase_components(setup, 2), setup, 1e-300) is None
 
 
 def test_resolution_threshold_beyond_2_pow_53_is_refused():
     # n and n + 1 round to the same double there, so no row confirms a root
     with pytest.raises(ParameterError, match=r"beyond 2\*\*53"):
-        resolution_threshold(optical(), 2, resolution_floor=1e-300)
+        resolution_threshold(*optical_line(), 1e-300)
 
 
 @pytest.mark.parametrize("floor", [math.nan, -1.0, 0.0, math.inf])
 def test_resolution_threshold_rejects_unusable_floor(floor):
     # nan returned 0, -1 and 0 the scan cap, inf None, all without a word
     with pytest.raises(ParameterError, match="resolution_floor"):
-        resolution_threshold(optical(), 2, resolution_floor=floor)
+        resolution_threshold(*optical_line(), floor)
 
 
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, [0.0, math.nan]])
 def test_fringe_rejects_non_finite_reference_phase(phi):
     setup = natural()
-    known, unknown = prepare_field(setup, 2, 1), prepare_field(setup, 2, 9)
     with pytest.raises(ParameterError, match="reference_phase"):
-        fringe(setup, known, unknown, phi)
+        fringe(phase_components(setup, 2), setup, 1, 9, phi)
 
 
 def test_branch_guard_raises_and_warns():
@@ -340,27 +407,47 @@ def test_branch_guard_raises_and_warns():
 @pytest.mark.filterwarnings("ignore:validity estimator:fockprobe.ProbeWarning")
 def test_fringe_identities():
     setup = natural()
+    comps = phase_components(setup, 2)
     zero_coupling = build_setup(1.0, 1e-3, light_speed=1.0, resonant_with_mode=2,
                                 coupling_ratio=0.0, unit_mode="natural")
-    known = prepare_field(zero_coupling, 2, 1)
-    unknown = prepare_field(zero_coupling, 2, 4)
+    inert = phase_components(zero_coupling, 2)
     # with no coupling both arms are inert: perfect contrast, zero phase
-    assert fringe(zero_coupling, known, unknown, 0.0) == (1.0, 0.0)
-    p_plus, p_minus = fringe(zero_coupling, known, unknown, math.pi / 2)
+    assert fringe(inert, zero_coupling, 1, 4, 0.0) == (1.0, 0.0)
+    p_plus, p_minus = fringe(inert, zero_coupling, 1, 4, math.pi / 2)
     assert p_plus == pytest.approx(0.5, abs=1e-12)
     assert p_minus == pytest.approx(0.5, abs=1e-12)
     # equal preparations: no phase difference regardless of n
-    same = prepare_field(setup, 2, 3)
-    p_plus, p_minus = fringe(setup, same, same, 0.0)
+    p_plus, p_minus = fringe(comps, setup, 3, 3, 0.0)
     assert p_plus + p_minus == pytest.approx(1.0, rel=1e-15)
     assert p_plus > 0.99
     # generic pair still sums to one
-    a = prepare_field(setup, 2, 1)
-    b = prepare_field(setup, 2, 9)
     for phi in (0.0, 0.3, 2.0, -1.2):
-        p_plus, p_minus = fringe(setup, a, b, phi)
+        p_plus, p_minus = fringe(comps, setup, 1, 9, phi)
         assert p_plus + p_minus == pytest.approx(1.0, rel=1e-15)
         assert 0.0 <= p_plus <= 1.0
+
+
+def test_fringe_with_the_smaller_unknown_arm_negates_the_phase_difference():
+    setup = natural()
+    comps = phase_components(setup, 2)
+    # cos(-dgamma + phi) = cos(dgamma - phi): the reversed pair at -phi, which
+    # at phi != 0 tells -dgamma from dgamma
+    for phi in (0.0, 0.3, 2.0, -1.2):
+        p_plus, p_minus = fringe(comps, setup, 9, 1, phi)
+        assert (p_plus, p_minus) == fringe(comps, setup, 1, 9, -phi)
+        assert p_plus + p_minus == pytest.approx(1.0, rel=1e-15)
+
+
+def test_fringe_refuses_a_negative_arm_and_a_branch_crossing():
+    setup = natural()
+    comps = phase_components(setup, 2)
+    with pytest.raises(ParameterError, match="photon numbers must be non-negative"):
+        fringe(comps, setup, 1, -1)
+    # detuned microcavity whose A(2000) has real part -0.29
+    detuned = build_setup(1e-6, 1000.0, resonant_with_mode=2, detuning=3e6,
+                          coupling_ratio=1e-4)
+    with pytest.raises(BranchError, match="principal-branch phase extraction is ambiguous"):
+        fringe(phase_components(detuned, 2), detuned, 0, 2000)
 
 
 def test_validity_estimator():

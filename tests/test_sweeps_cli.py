@@ -22,7 +22,6 @@ from fockprobe import (
     mode_sum_offres,
     parse_config,
     phase_components,
-    prepare_field,
     resolve_mapping,
     run_sweep,
     survival_amplitude,
@@ -97,13 +96,13 @@ def test_sweep_rows_and_manifest_content(tmp_path, monkeypatch):
     assert not any("max_mode" in w for w in manifest["warnings"])
     assert manifest["truncation"]["converged"] is True
     # a tolerance the tail bound cannot meet: recorded, not hidden
-    monkeypatch.setattr(amplitudes, "MAX_MODE", 3)
-    monkeypatch.setattr(amplitudes, "TAIL_TOL", 1e-17)
+    monkeypatch.setattr(amplitudes, "MAX_MODE", amplitudes.DIRECT_MODES)
+    monkeypatch.setattr(amplitudes, "TAIL_TOL", 1e-40)
     _, manifest_path = run_sweep(resolve_mapping(small_sweep_mapping()), tmp_path / "capped.csv")
     manifest = json.loads(manifest_path.read_text())
-    assert any("hit max_mode=3" in w for w in manifest["warnings"])
+    assert any("hit max_mode=32" in w for w in manifest["warnings"])
     assert manifest["truncation"]["converged"] is False
-    assert manifest["truncation"]["modes_evaluated"] == 3
+    assert manifest["truncation"]["modes_evaluated"] == 32
 
 
 def test_sweep_isolates_row_failures(tmp_path):
@@ -148,14 +147,14 @@ def test_cli_warnings_reach_stderr_unless_quiet(tmp_path, capsys, monkeypatch):
     shipped = CONFIGS / "optical-microcavity.cfg"
     assert main(["phase", "--config", str(shipped)]) == 0
     assert capsys.readouterr().err == ""
-    # a tail tolerance the bound cannot meet with three direct modes
-    monkeypatch.setattr(amplitudes, "MAX_MODE", 3)
-    monkeypatch.setattr(amplitudes, "TAIL_TOL", 1e-17)
+    # a tail tolerance the bound cannot meet with DIRECT_MODES direct modes
+    monkeypatch.setattr(amplitudes, "MAX_MODE", amplitudes.DIRECT_MODES)
+    monkeypatch.setattr(amplitudes, "TAIL_TOL", 1e-40)
     config = write_config(tmp_path, OPTICAL_LINES)
     assert main(["phase", "--config", str(config)]) == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines()[0] == "p_excite,gamma,visibility,validity"
-    assert "warning: off-resonant kernel sum hit max_mode=3" in captured.err
+    assert "warning: off-resonant kernel sum hit max_mode=32" in captured.err
     out = tmp_path / "phase.csv"
     assert main(["phase", "--config", str(config), "--output", str(out)]) == 0
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
@@ -270,9 +269,30 @@ def test_cli_resolution_and_fringe(tmp_path, capsys):
     assert p_plus + p_minus == pytest.approx(1.0, rel=1e-12)
     # the rows, from one evaluation of the amplitudes, equal one fringe call per phase
     resolved = parse_config(cfg)
-    unknown = prepare_field(resolved.setup, 2, 4)
+    comps = phase_components(resolved.setup, 2)
     assert [[float(x) for x in line.split(",")] for line in lines[1:]] == [
-        [phi, *fringe(resolved.setup, resolved.prep, unknown, phi)] for phi in phis]
+        [phi, *fringe(comps, resolved.setup, resolved.prep.photons, 4, phi)] for phi in phis]
+
+
+@pytest.mark.parametrize("command", [
+    ["resolution", "--m", "1", "--m", "2", "--n-max", "10"],
+    ["fringe", "--unknown-photons", "3", "--phi", "0.5"],
+])
+def test_cli_resolution_and_fringe_sum_the_modes_once(tmp_path, monkeypatch, command):
+    # the threshold and the fringe read the components the run already holds
+    from fockprobe import kernels, observables
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mode_sum_offres(*args, **kwargs)
+
+    for module in (kernels, observables, cli):
+        monkeypatch.setattr(module, "mode_sum_offres", counted)
+    cfg = write_config(tmp_path, OPTICAL_LINES)
+    assert main([*command, "--config", str(cfg), "--quiet"]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_verify_perturbative_cells_are_one_row(tmp_path):
@@ -460,25 +480,27 @@ DETUNED_GRID = {"sweep.start": 0, "sweep.stop": 3000, "sweep.step": 10}
 
 
 def _scalar_amplitude(setup):
-    """A(n) with Python complex arithmetic, and the warnings its mode sum raises."""
+    """A(n) and the step A(n) - A(n + 1) = lambda^2 slope with Python complex
+    arithmetic, and the warnings the mode sum raises."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         comps = phase_components(setup, 2)
-    return (lambda n: survival_amplitude(comps, setup, n)), [str(w.message) for w in caught]
+    return ((lambda n: survival_amplitude(comps, setup, n)), setup.coupling**2 * comps.slope,
+            [str(w.message) for w in caught])
 
 
 def _branch_message(amplitude, consequence):
     return f"survival amplitude {amplitude:.6g} has non-positive real part; {consequence}"
 
 
-def _reference_delta_gamma(amplitude, n, m):
+def _reference_delta_gamma(amplitude, step, n, m):
     """(message or None, delta_gamma) from cmath and Python complex division."""
     if m == 0:
         return None, 0.0
     for amp in (amplitude(n + m), amplitude(n)):
         if amp.real <= 0.0:
             return _branch_message(amp, "phase difference is branch-ambiguous"), None
-    return None, cmath.phase(amplitude(n + m) / amplitude(n))
+    return None, cmath.phase(1 - m * step / amplitude(n))
 
 
 def _within_ulps(cell, reference, ulps):
@@ -493,7 +515,7 @@ def _within_ulps(cell, reference, ulps):
 ])
 def test_branch_crossing_rows_match_scalar_reference(tmp_path, sweep):
     resolved = resolve_mapping({**DETUNED, **sweep})
-    amplitude, expected_warnings = _scalar_amplitude(resolved.setup)
+    amplitude, step, expected_warnings = _scalar_amplitude(resolved.setup)
     csv_path, manifest_path = run_sweep(resolved, tmp_path / "out.csv", quiet=True)
     header, *rows = csv.reader(open(csv_path))
     failed = 0
@@ -514,7 +536,7 @@ def test_branch_crossing_rows_match_scalar_reference(tmp_path, sweep):
                     expected_warnings.append(f"|eta| = {abs(eta):.3g} inside "
                                              "principal-branch ambiguity zone (> pi/2)")
         else:
-            message, reference = _reference_delta_gamma(amplitude, n, int(cells["m"]))
+            message, reference = _reference_delta_gamma(amplitude, step, n, int(cells["m"]))
             if message is None:
                 assert _within_ulps(cells["delta_gamma"], reference, 2)
         if message is None:
@@ -530,7 +552,7 @@ def test_branch_crossing_rows_match_scalar_reference(tmp_path, sweep):
 
 def test_cli_resolution_marks_branch_crossing_rows(tmp_path, capsys):
     resolved = resolve_mapping(DETUNED)
-    amplitude, _ = _scalar_amplitude(resolved.setup)
+    amplitude, step, _ = _scalar_amplitude(resolved.setup)
     out = tmp_path / "resolution.csv"
     assert main(["resolution", "--config", str(write_config(tmp_path, DETUNED)),
                  "--m", "300", "--m", "1", "--n-max", "3000", "--n-step", "10",
@@ -541,7 +563,7 @@ def test_cli_resolution_marks_branch_crossing_rows(tmp_path, capsys):
         (n, m) for n in range(0, 3001, 10) for m in (1, 300)]
     failed = 0
     for n, m, delta_gamma, status in rows:
-        message, reference = _reference_delta_gamma(amplitude, int(n), int(m))
+        message, reference = _reference_delta_gamma(amplitude, step, int(n), int(m))
         if message is None:
             assert _within_ulps(delta_gamma, reference, 2)
             assert status == "ok"
